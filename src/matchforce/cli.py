@@ -66,11 +66,12 @@ def _cmd_corona(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
-    summary = matchings.summarize_matchings(g, args.budget)
+    masks = matchings.maximal_matching_masks(g, args.budget)
+    summary = matchings._summarize_masks(masks, g.n)
     value = {"psi": summary.psi, "nu": summary.nu, "sat": summary.sat}[args.stat]
     if args.json:
-        listed = matchings.enumerate_maximal_matchings(g, args.budget)
-        payload = {args.stat: value, "matchings": [list(m.edges) for m in listed]}
+        listed = [list(matchings.mask_to_edges(mask)) for mask in masks]
+        payload = {args.stat: value, "matchings": listed}
         _emit(json.dumps(payload) + "\n", args.out)
     else:
         _emit(f"{value}\n", args.out)
@@ -145,11 +146,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(bounds_mod.CSV_COLUMNS)
+    # The header flattens a record whose values are all empty.
+    header = _csv_record(dict.fromkeys(bounds_mod.BoundsReport.dict_keys(), {}))
+    writer.writerow(header.keys())
     for report in reports:
-        writer.writerow(bounds_mod.report_csv_row(report))
+        writer.writerow(_csv_cell(v) for v in _csv_record(report.to_dict()).values())
     _emit(buf.getvalue(), args.out)
     return 0 if all(report.all_pass() for report in reports) else 1
+
+
+# The checks that get a verdict and a gap column in the sweep CSV, in order.
+_CSV_CHECKS = ("nu_formula", "upper_complement", "upper_sum", "lower_randomly")
+
+
+def _csv_record(record: dict) -> dict[str, object]:
+    """A ``BoundsReport.to_dict()`` record flattened into sweep CSV columns:
+    ``verdicts`` and ``gaps`` become one ``verdict_*`` and one ``gap_*``
+    column per check, blank where the check was not run."""
+    flat: dict[str, object] = {}
+    for key, value in record.items():
+        if key in ("verdicts", "gaps"):
+            for check in _CSV_CHECKS:
+                flat[f"{key[:-1]}_{check}"] = value.get(check)
+        else:
+            flat[key] = value
+    return flat
+
+
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _cmd_randomly_matchable(args: argparse.Namespace) -> int:
@@ -160,11 +189,21 @@ def _cmd_randomly_matchable(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=matchings.DEFAULT_BUDGET,
         help="maximal-matching enumeration cap (default %(default)s)",
     )
@@ -198,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="edge-list file of the spine factor")
     p.add_argument("--h", required=True, help="edge-list file of the copied factor")
     p.add_argument("-o", "--out", required=True, help="output edge-list path; sidecar gets .partition.json appended")
-    p.add_argument("--budget", type=int, default=matchings.DEFAULT_BUDGET, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_corona)
 
     for stat, blurb in (

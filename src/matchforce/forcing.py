@@ -38,16 +38,6 @@ class IncidenceMatrix:
     m: int
     rows: tuple[int, ...]
 
-    def column(self, j: int) -> int:
-        """Bitmask over rows: bit i set iff edge j lies in matching i."""
-        if not 0 <= j < self.m:
-            raise IndexError(f"column {j} out of range for {self.m} edges")
-        out = 0
-        for i, row in enumerate(self.rows):
-            if row >> j & 1:
-                out |= 1 << i
-        return out
-
     def projections_distinct(self, edge_mask: int) -> bool:
         seen = set()
         for row in self.rows:
@@ -124,12 +114,7 @@ def _column_masks(rows: list[int], m: int) -> list[int]:
 
 
 def _class_lower_bound(classes: list[int]) -> int:
-    lb = 0
-    for cls in classes:
-        need = _log2_ceil(cls.bit_count())
-        if need > lb:
-            lb = need
-    return lb
+    return _log2_ceil(max(map(int.bit_count, classes), default=0))
 
 
 def _refine(classes: list[int], col: int) -> list[int]:
@@ -211,97 +196,76 @@ def phi_exact(
 ) -> ForcingResult:
     """Exact global forcing number with the lexicographically smallest witness.
 
-    Depth-first branch and bound over edge indices, seeded by the greedy upper
-    bound. A branch dies once its chosen count plus ceil(log2) of its largest
-    unresolved row class reaches the incumbent. A second bounded pass then
-    walks include-first to the lexicographically smallest set of optimal size.
-    If the node limit is hit, the best incumbent is returned with
-    ``optimal=False``; it is still a verified forcing set.
+    One include-first depth-first branch and bound over edge indices, seeded
+    by the greedy upper bound. A branch dies once its chosen count plus
+    ceil(log2) of its largest unresolved row class exceeds the greedy size,
+    or, once the search has found a set of its own, reaches the best size
+    found. Include-first order visits sets of equal size in lexicographic
+    order, so the first set found of the final size is the lexicographically
+    smallest optimum. If the node limit is hit, the best set so far is
+    returned with ``optimal=False``; it is still a verified forcing set.
     """
-    if g.m > max_edges:
+    _check_edge_cap(g.m, max_edges)
+    return _phi_exact_rows(maximal_matching_masks(g, budget), g.m, node_limit)
+
+
+def _check_edge_cap(m: int, max_edges: int) -> None:
+    if m > max_edges:
         raise BudgetExceededError(
-            f"graph has {g.m} edges; exact search is capped at {max_edges}"
+            f"graph has {m} edges; exact search is capped at {max_edges}"
         )
-    rows = maximal_matching_masks(g, budget)
+
+
+def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
+    """:func:`phi_exact` on the enumerated maximal matchings of an m-edge graph."""
     t = len(rows)
     lower0 = _log2_ceil(t)
     if t <= 1:
         return ForcingResult((), 0, True, 0, 0, 0)
 
-    m = g.m
     cols = _column_masks(rows, m)
     greedy = _greedy_columns(rows, m)
     greedy_size = len(greedy)
 
-    incumbent_size = greedy_size
-    incumbent_set = sorted(greedy)
+    best_set = sorted(greedy)
+    # A branch lives while its count plus lower bound stays below ``limit``.
+    # Until the search finds a set itself, sets as large as the greedy one
+    # stay wanted: one of them may be lexicographically smaller.
+    limit = greedy_size + 1
     nodes = 0
     chosen: list[int] = []
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise _NodeLimitReached
-
-    def next_splitting(i: int, classes: list[int]) -> int:
+    def search(i: int, classes: list[int]) -> None:
+        nonlocal best_set, limit, nodes
+        if len(chosen) + _class_lower_bound(classes) >= limit:
+            return
+        if not classes:
+            best_set = list(chosen)
+            limit = len(chosen)
+            return
         j = i
         while j < m and not _splits_some_class(cols[j], classes):
             j += 1
-        return j
-
-    def search_size(i: int, classes: list[int]) -> None:
-        nonlocal incumbent_size, incumbent_set
-        if not classes:
-            if len(chosen) < incumbent_size:
-                incumbent_size = len(chosen)
-                incumbent_set = list(chosen)
-            return
-        if len(chosen) + _class_lower_bound(classes) >= incumbent_size:
-            return
-        j = next_splitting(i, classes)
         if j == m:
             return
-        tick()
+        nodes += 1
+        if nodes > node_limit:
+            raise _NodeLimitReached
         chosen.append(j)
-        search_size(j + 1, _refine(classes, cols[j]))
+        search(j + 1, _refine(classes, cols[j]))
         chosen.pop()
-        search_size(j + 1, classes)
+        search(j + 1, classes)
 
-    def search_lex(i: int, classes: list[int], count: int, target: int) -> list[int] | None:
-        if not classes:
-            return []
-        if count + _class_lower_bound(classes) > target:
-            return None
-        j = next_splitting(i, classes)
-        if j == m:
-            return None
-        tick()
-        tail = search_lex(j + 1, _refine(classes, cols[j]), count + 1, target)
-        if tail is not None:
-            return [j] + tail
-        return search_lex(j + 1, classes, count, target)
-
-    full = (1 << t) - 1
     try:
-        search_size(0, [full])
-        best = search_lex(0, [full], 0, incumbent_size)
-        # Phase one proved a set of this size exists, so phase two finds one.
-        assert best is not None and len(best) == incumbent_size
-        return ForcingResult(
-            edges=tuple(best),
-            size=incumbent_size,
-            optimal=True,
-            lower_bound=lower0,
-            greedy_size=greedy_size,
-            nodes=nodes,
-        )
+        search(0, [(1 << t) - 1])
+        optimal = True
     except _NodeLimitReached:
-        return ForcingResult(
-            edges=tuple(incumbent_set),
-            size=incumbent_size,
-            optimal=False,
-            lower_bound=lower0,
-            greedy_size=greedy_size,
-            nodes=nodes,
-        )
+        optimal = False
+    return ForcingResult(
+        edges=tuple(best_set),
+        size=len(best_set),
+        optimal=optimal,
+        lower_bound=lower0,
+        greedy_size=greedy_size,
+        nodes=nodes,
+    )

@@ -51,9 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []
         for e in self.adjacency[v]:

@@ -58,38 +58,25 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     """
     rows = incidence_matrix(g, budget).rows
     t = len(rows)
-    constraints: list[IlpConstraint] = []
-    if dedup:
-        by_support: dict[int, list[tuple[int, int]]] = {}
-        order: list[int] = []
-        for i in range(t):
-            for j in range(i + 1, t):
-                support = rows[i] ^ rows[j]
-                if support not in by_support:
-                    by_support[support] = []
-                    order.append(support)
-                by_support[support].append((i, j))
-        for support in order:
-            pairs = by_support[support]
-            constraints.append(
-                IlpConstraint(
-                    label=pairs[0],
-                    columns=mask_to_edges(support),
-                    pairs=tuple(pairs),
-                )
-            )
-    else:
-        for i in range(t):
-            for j in range(i + 1, t):
-                support = rows[i] ^ rows[j]
-                constraints.append(
-                    IlpConstraint(
-                        label=(i, j),
-                        columns=mask_to_edges(support),
-                        pairs=((i, j),),
-                    )
-                )
-    return IlpModel(num_edges=g.m, constraints=tuple(constraints), deduped=dedup)
+    # Constraint key -> the row pairs behind it, in first-seen order.
+    groups: dict[object, list[tuple[int, int]]] = {}
+    for i in range(t):
+        row = rows[i]
+        for j in range(i + 1, t):
+            key = row ^ rows[j] if dedup else (i, j)
+            if key in groups:
+                groups[key].append((i, j))
+            else:
+                groups[key] = [(i, j)]
+    constraints = tuple(
+        IlpConstraint(
+            label=pairs[0],
+            columns=mask_to_edges(rows[pairs[0][0]] ^ rows[pairs[0][1]]),
+            pairs=tuple(pairs),
+        )
+        for pairs in groups.values()
+    )
+    return IlpModel(num_edges=g.m, constraints=constraints, deduped=dedup)
 
 
 def export_lp(model: IlpModel) -> str:

@@ -32,14 +32,13 @@ class Matching:
     """An edge set with the pairwise-nonadjacency invariant.
 
     ``mask`` has bit i set iff edge i belongs to the matching; ``edges`` is the
-    same set as sorted indices. The flags are only set when the property has
-    actually been established for the host graph.
+    same set as sorted indices. ``perfect`` is set only when the matching
+    saturates every vertex of the host graph.
     """
 
     mask: int
     edges: tuple[int, ...]
     saturated: tuple[int, ...]
-    maximal: bool
     perfect: bool
 
 
@@ -167,7 +166,7 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     return out
 
 
-def _matching_from_mask(g: Graph, mask: int, maximal: bool) -> Matching:
+def _matching_from_mask(g: Graph, mask: int) -> Matching:
     edges = mask_to_edges(mask)
     sat: list[int] = []
     for e in edges:
@@ -177,26 +176,31 @@ def _matching_from_mask(g: Graph, mask: int, maximal: bool) -> Matching:
         mask=mask,
         edges=edges,
         saturated=tuple(sat),
-        maximal=maximal,
         perfect=len(sat) == g.n,
     )
 
 
 def enumerate_maximal_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> list[Matching]:
     """All maximal matchings of ``g`` in lexicographic order."""
-    return [_matching_from_mask(g, mask, maximal=True) for mask in maximal_matching_masks(g, budget)]
+    return [_matching_from_mask(g, mask) for mask in maximal_matching_masks(g, budget)]
 
 
 def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSummary:
     """Count maximal matchings and derive nu, the saturation number, and
     perfect-matching existence in one enumeration pass."""
-    sizes = [mask.bit_count() for mask in maximal_matching_masks(g, budget)]
+    return _summarize_masks(maximal_matching_masks(g, budget), g.n)
+
+
+def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:
+    """:func:`summarize_matchings` on the enumerated maximal matchings of an
+    n-vertex graph."""
+    sizes = [mask.bit_count() for mask in masks]
     nu = max(sizes)
     return MatchingSummary(
         psi=len(sizes),
         nu=nu,
         sat=min(sizes),
-        has_perfect=2 * nu == g.n,
+        has_perfect=2 * nu == n,
     )
 
 
@@ -224,9 +228,12 @@ def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMat
     structural one asks every connected component to be an even complete graph
     or a balanced complete bipartite graph. The two agree on connected graphs.
     """
-    definitional = all(
-        2 * mask.bit_count() == g.n for mask in maximal_matching_masks(g, budget)
-    )
+    definitional = _all_perfect(maximal_matching_masks(g, budget), g.n)
     allowed = {COMPLETE_EVEN, BALANCED_COMPLETE_BIPARTITE}
     structural = all(tag in allowed for tag in recognize_structure(g))
     return RandomlyMatchableVerdict(definitional=definitional, structural=structural)
+
+
+def _all_perfect(masks: list[int], n: int) -> bool:
+    """Whether every enumerated maximal matching of an n-vertex graph is perfect."""
+    return all(2 * mask.bit_count() == n for mask in masks)

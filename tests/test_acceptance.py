@@ -281,7 +281,12 @@ def test_criterion_09_fibonacci_convention():
         "edge_convention": three_vertex == edge_convention,
         "vertex_convention": three_vertex == vertex_convention,
     }
-    ok = two_vertex == 18 == psi_path_corona_triangle(1)
+    ok = (
+        two_vertex == 18 == psi_path_corona_triangle(1)
+        and three_vertex == 81 == edge_convention
+        and vertex_convention == 405
+        and three_vertex != vertex_convention
+    )
     assert report(
         9,
         ok,
@@ -289,8 +294,6 @@ def test_criterion_09_fibonacci_convention():
         f"Psi(P3oK3)={three_vertex} vs edge-convention {edge_convention}, "
         f"vertex-convention {vertex_convention}; matches: {matches}",
     )
-    # Convention-pinning record, not an equality assertion, for the 3-vertex path.
-    assert isinstance(matches["edge_convention"], bool)
 
 
 def test_criterion_10_corollary_consistency():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from matchforce import matchings
+from matchforce.bounds import verify_bounds
 from matchforce.cli import main
 from matchforce.corona import corona_product, partition_from_json
 from matchforce.graph import complete, parse_edge_list, serialize_edge_list
@@ -170,7 +173,14 @@ class TestBoundsAndSweep:
         code, out, _ = run(capsys, "sweep", "--families", "K1", "K2", "--max-n", "9")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("g,h,n_g,n_h,")
+        assert lines[0] == (
+            "g,h,n_g,n_h,m_corona,nu_g,nu_h,phi_g,phi_h,h_has_perfect,"
+            "h_randomly_matchable,predicted_nu,upper_complement,upper_sum,"
+            "lower_randomly,exact_nu,exact_psi,exact_phi,verdict_nu_formula,"
+            "verdict_upper_complement,verdict_upper_sum,verdict_lower_randomly,"
+            "gap_nu_formula,gap_upper_complement,gap_upper_sum,gap_lower_randomly,"
+            "all_pass"
+        )
         assert len(lines) == 1 + 4  # header + all four pairs
 
     def test_sweep_respects_max_n(self, capsys):
@@ -204,6 +214,37 @@ def test_output_file_flag(tmp_path, capsys, k3_file):
     assert out.read_text() == "3\n"
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, k3_file):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+    assert main(["psi", "--in", k3_file, "--budget", "0"]) == 2
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """Graphs passed to ``maximal_matching_masks``, one entry per call.
+
+    Modules that import the function by name hold their own binding, so every
+    binding in the package is replaced, not only the one in ``matchings``.
+    """
+    calls = []
+    original = matchings.maximal_matching_masks
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return original(g, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matchforce":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_each_graph_is_enumerated_once(enumerated, capsys, k3_file):
+    verify_bounds(complete(2), complete(3))
+    assert enumerated == [complete(2), complete(3), corona_product(complete(2), complete(3)).graph]
+    enumerated.clear()
+    assert run(capsys, "psi", "--in", k3_file, "--json")[0] == 0
+    assert enumerated == [complete(3)]

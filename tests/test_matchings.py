@@ -72,7 +72,6 @@ class TestEnumeration:
     def test_matching_objects_carry_derived_fields(self):
         y = corona_product(complete(2), complete(2)).graph
         for matching in enumerate_maximal_matchings(y):
-            assert matching.maximal
             assert is_maximal_matching(y, matching.edges)
             assert matching.perfect == (len(matching.saturated) == y.n)
             assert set(matching.saturated) == {
