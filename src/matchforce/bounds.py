@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 
 from .corona import corona_product
 from .forcing import (
-    DEFAULT_MAX_EDGES,
     DEFAULT_NODE_LIMIT,
     ForcingResult,
     _check_edge_cap,
@@ -24,7 +23,6 @@ from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    _all_perfect,
     _summarize_masks,
     maximal_matching_masks,
 )
@@ -178,7 +176,7 @@ def verify_bounds(
     bounds is judged.
     """
     def phi_of(graph: Graph, rows: list[int]) -> ForcingResult:
-        _check_edge_cap(graph.m, DEFAULT_MAX_EDGES)
+        _check_edge_cap(graph.m)
         return _phi_exact_rows(rows, graph.m, node_limit)
 
     rows_g = maximal_matching_masks(g, budget)
@@ -187,7 +185,7 @@ def verify_bounds(
     sum_h = _summarize_masks(rows_h, h.n)
     res_g = phi_of(g, rows_g)
     res_h = phi_of(h, rows_h)
-    randomly_h = _all_perfect(rows_h, h.n)
+    randomly_h = 2 * sum_h.sat == h.n
 
     cg = corona_product(g, h)
     m_corona = cg.graph.m

@@ -102,7 +102,10 @@ def _parse_edge_flag(text: str) -> list[int]:
 
 def _cmd_verify_forcing(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
-    ok = forcing.is_global_forcing_set(g, _parse_edge_flag(args.edges), args.budget)
+    try:
+        ok = forcing.is_global_forcing_set(g, _parse_edge_flag(args.edges), args.budget)
+    except IndexError as exc:
+        raise GraphError(str(exc)) from None
     _emit("true\n" if ok else "false\n", args.out)
     return 0
 

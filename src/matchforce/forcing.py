@@ -184,15 +184,10 @@ def phi_greedy(g: Graph, budget: int = DEFAULT_BUDGET) -> ForcingResult:
     )
 
 
-class _NodeLimitReached(Exception):
-    pass
-
-
 def phi_exact(
     g: Graph,
     budget: int = DEFAULT_BUDGET,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> ForcingResult:
     """Exact global forcing number with the lexicographically smallest witness.
 
@@ -204,15 +199,17 @@ def phi_exact(
     order, so the first set found of the final size is the lexicographically
     smallest optimum. If the node limit is hit, the best set so far is
     returned with ``optimal=False``; it is still a verified forcing set.
+    Graphs with more than ``DEFAULT_MAX_EDGES`` edges are refused before
+    enumeration.
     """
-    _check_edge_cap(g.m, max_edges)
+    _check_edge_cap(g.m)
     return _phi_exact_rows(maximal_matching_masks(g, budget), g.m, node_limit)
 
 
-def _check_edge_cap(m: int, max_edges: int) -> None:
-    if m > max_edges:
+def _check_edge_cap(m: int) -> None:
+    if m > DEFAULT_MAX_EDGES:
         raise BudgetExceededError(
-            f"graph has {m} edges; exact search is capped at {max_edges}"
+            f"graph has {m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
 
 
@@ -227,42 +224,37 @@ def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
     greedy = _greedy_columns(rows, m)
     greedy_size = len(greedy)
 
-    best_set = sorted(greedy)
+    best_set = tuple(sorted(greedy))
     # A branch lives while its count plus lower bound stays below ``limit``.
     # Until the search finds a set itself, sets as large as the greedy one
     # stay wanted: one of them may be lexicographically smaller.
     limit = greedy_size + 1
     nodes = 0
-    chosen: list[int] = []
-
-    def search(i: int, classes: list[int]) -> None:
-        nonlocal best_set, limit, nodes
+    optimal = True
+    # Frames: next edge to decide, unresolved row classes, chosen edges. The
+    # bound is tested on pop, since ``limit`` can tighten while a frame waits.
+    stack = [(0, [(1 << t) - 1], ())]
+    while stack:
+        i, classes, chosen = stack.pop()
         if len(chosen) + _class_lower_bound(classes) >= limit:
-            return
+            continue
         if not classes:
-            best_set = list(chosen)
+            best_set = chosen
             limit = len(chosen)
-            return
+            continue
         j = i
         while j < m and not _splits_some_class(cols[j], classes):
             j += 1
         if j == m:
-            return
+            continue
         nodes += 1
         if nodes > node_limit:
-            raise _NodeLimitReached
-        chosen.append(j)
-        search(j + 1, _refine(classes, cols[j]))
-        chosen.pop()
-        search(j + 1, classes)
-
-    try:
-        search(0, [(1 << t) - 1])
-        optimal = True
-    except _NodeLimitReached:
-        optimal = False
+            optimal = False
+            break
+        stack.append((j + 1, classes, chosen))
+        stack.append((j + 1, _refine(classes, cols[j]), chosen + (j,)))
     return ForcingResult(
-        edges=tuple(best_set),
+        edges=best_set,
         size=len(best_set),
         optimal=optimal,
         lower_bound=lower0,

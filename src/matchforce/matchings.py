@@ -55,10 +55,6 @@ class RandomlyMatchableVerdict(NamedTuple):
     structural: bool
 
 
-def _edge_vertex_masks(g: Graph) -> list[int]:
-    return [(1 << u) | (1 << v) for u, v in g.edges]
-
-
 def _check_edge_indices(g: Graph, edges: Iterable[int]) -> list[int]:
     out = sorted(set(int(e) for e in edges))
     if out and not (0 <= out[0] and out[-1] < g.m):
@@ -123,46 +119,37 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = g.m
-    ev = _edge_vertex_masks(g)
-    # Largest index among edges sharing a vertex with e: once the scan passes
-    # it, an excluded-but-still-addable e can never be blocked again.
-    adj_max = [-1] * m
-    for v in range(g.n):
-        inc = g.adjacency[v]
-        if len(inc) < 2:
-            continue
-        top = max(inc)
-        for e in inc:
-            other = top if e != top else max(i for i in inc if i != top)
-            if other > adj_max[e]:
-                adj_max[e] = other
+    # near[e]: the edges sharing a vertex with e, e included.
+    incident = [sum(1 << e for e in inc) for inc in g.adjacency]
+    near = [incident[u] | incident[v] for u, v in g.edges]
+    # dead[j]: the edges whose neighbours all lie below j. Once the scan
+    # reaches j, an excluded-but-still-addable one can never be blocked again.
+    dead = [0] * (m + 1)
+    for e, nb in enumerate(near):
+        dead[nb.bit_length()] |= 1 << e
+    for j in range(1, m + 1):
+        dead[j] |= dead[j - 1]
     out: list[int] = []
-
-    def extend(i: int, mask: int, sat: int, pending: tuple[int, ...]) -> None:
-        j = i
-        while j < m and ev[j] & sat:
-            j += 1
-        for e in pending:
-            if adj_max[e] < j:
-                return  # an excluded edge stays addable forever: dead branch
+    # Frames: next edge to decide, matching, edges blocked by the matching,
+    # and excluded edges not yet blocked. The include branch is pushed last,
+    # so it is expanded first and matchings come out in lexicographic order.
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, mask, sat, pending = stack.pop()
+        free = ~sat >> i
+        j = i + (free & -free).bit_length() - 1  # first unblocked edge >= i, or m
+        if pending & dead[j]:
+            continue
         if j == m:
             if len(out) >= budget:
                 raise BudgetExceededError(
                     f"more than {budget} maximal matchings; raise the budget to enumerate"
                 )
             out.append(mask)
-            return
-        new_sat = sat | ev[j]
-        extend(
-            j + 1,
-            mask | (1 << j),
-            new_sat,
-            tuple(e for e in pending if not (ev[e] & new_sat)),
-        )
-        if adj_max[j] > j:
-            extend(j + 1, mask, sat, pending + (j,))
-
-    extend(0, 0, 0, ())
+            continue
+        if near[j] >> j > 1:
+            stack.append((j + 1, mask, sat, pending | 1 << j))
+        stack.append((j + 1, mask | 1 << j, sat | near[j], pending & ~near[j]))
     return out
 
 
@@ -224,16 +211,12 @@ def has_perfect_matching(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
 def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMatchableVerdict:
     """Both views of "every maximal matching is perfect".
 
-    The definitional verdict checks the enumerated matchings directly; the
-    structural one asks every connected component to be an even complete graph
-    or a balanced complete bipartite graph. The two agree on connected graphs.
+    The definitional verdict checks the enumerated matchings: all are perfect
+    exactly when the smallest one is. The structural one asks every connected
+    component to be an even complete graph or a balanced complete bipartite
+    graph. The two agree on connected graphs.
     """
-    definitional = _all_perfect(maximal_matching_masks(g, budget), g.n)
+    definitional = 2 * saturation_number(g, budget) == g.n
     allowed = {COMPLETE_EVEN, BALANCED_COMPLETE_BIPARTITE}
     structural = all(tag in allowed for tag in recognize_structure(g))
     return RandomlyMatchableVerdict(definitional=definitional, structural=structural)
-
-
-def _all_perfect(masks: list[int], n: int) -> bool:
-    """Whether every enumerated maximal matching of an n-vertex graph is perfect."""
-    return all(2 * mask.bit_count() == n for mask in masks)

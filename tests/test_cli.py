@@ -9,7 +9,7 @@ from matchforce import matchings
 from matchforce.bounds import verify_bounds
 from matchforce.cli import main
 from matchforce.corona import corona_product, partition_from_json
-from matchforce.graph import complete, parse_edge_list, serialize_edge_list
+from matchforce.graph import complete, parse_edge_list, serialize_edge_list, star
 
 
 @pytest.fixture
@@ -74,6 +74,13 @@ class TestCounts:
         assert code == 1
         assert "error" in err
 
+    def test_psi_of_a_large_star(self, capsys, tmp_path):
+        # 1,099 edges at one vertex: one branch decides more edges than
+        # Python's default recursion limit of 1,000 frames.
+        target = tmp_path / "S1100.el"
+        target.write_text(serialize_edge_list(star(1100)))
+        assert run(capsys, "psi", "--in", str(target)) == (0, "1099\n", "")
+
 
 class TestPhi:
     def test_plain_value(self, capsys, k3_file):
@@ -113,6 +120,13 @@ class TestVerifyForcing:
 
     def test_empty_set(self, capsys, k2_file):
         assert run(capsys, "verify-forcing", "--in", k2_file)[:2] == (0, "true\n")
+
+    def test_edge_index_out_of_range_is_a_domain_error(self, capsys, tmp_path):
+        k1 = tmp_path / "K1.el"
+        k1.write_text(serialize_edge_list(complete(1)))
+        code, out, err = run(capsys, "verify-forcing", "--in", str(k1), "--edges", "0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: edge index 1 out of range for graph with 0 edges\n"
 
 
 class TestCorona:

@@ -134,8 +134,9 @@ class TestExact:
         assert result.size >= phi_exact(g).size
 
     def test_edge_cap_is_enforced(self):
+        # K10 has 45 edges, above the cap of 40.
         with pytest.raises(BudgetExceededError):
-            phi_exact(complete(4), max_edges=5)
+            phi_exact(complete(10))
 
     def test_enumeration_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
@@ -160,6 +161,24 @@ def test_exact_equals_exhaustive_search(name, graph):
     assert result.size == size
     assert result.edges == witness  # lexicographically smallest optimum
     assert is_global_forcing_set(graph, result.edges)
+
+
+@pytest.mark.parametrize(
+    "node_limit,edges",
+    [
+        (30570, (0, 2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18)),  # the greedy set
+        (30571, (0, 1, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18)),  # the first set the search finds itself
+    ],
+)
+def test_node_limit_pins_visiting_order_and_node_count(node_limit, edges):
+    # On C5oK2 the search finds its first set of the greedy size at node
+    # 30,571, so one more node of budget changes the answer. Any change in the
+    # visiting order or in where nodes are counted moves that point.
+    g = corona_product(cycle(5), complete(2)).graph
+    result = phi_exact(g, node_limit=node_limit)
+    assert (result.edges, result.size, result.optimal) == (edges, 13, False)
+    assert result.nodes == node_limit + 1
+    assert result.greedy_size == 13
 
 
 @pytest.mark.parametrize("name,graph", EXACT_INSTANCES, ids=EXACT_IDS)

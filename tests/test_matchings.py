@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchforce.corona import corona_product
+from matchforce.forcing import phi_exact
 from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path, star
 from matchforce.matchings import (
     BudgetExceededError,
@@ -19,7 +20,7 @@ from matchforce.matchings import (
     summarize_matchings,
 )
 
-from oracles import brute_maximal_masks, small_instances
+from oracles import brute_maximal_masks, brute_min_forcing, small_instances
 
 
 class TestPredicates:
@@ -88,6 +89,15 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             maximal_matching_masks(complete(4), budget=2)
         assert len(maximal_matching_masks(complete(4), budget=3)) == 3
+
+    def test_long_scans_need_no_recursion(self):
+        # In each, one branch decides more edges than Python's default
+        # recursion limit of 1,000 frames.
+        disjoint = Graph(n=2000, edges=tuple((2 * i, 2 * i + 1) for i in range(1000)))
+        summary = summarize_matchings(disjoint)
+        assert (summary.psi, summary.nu) == (1, 1000)
+        with pytest.raises(BudgetExceededError):
+            maximal_matching_masks(path(2100), budget=10)
 
     def test_edgeless_graph_has_the_empty_matching(self):
         assert maximal_matching_masks(empty(3)) == [0]
@@ -185,9 +195,10 @@ class TestRandomlyMatchable:
 
 @st.composite
 def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    # At most 12 edges keeps the 2^m subset oracle fast.
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
     return Graph(n=n, edges=tuple(chosen))
 
 
@@ -199,3 +210,14 @@ def test_enumerated_matchings_satisfy_both_predicates(g):
     for matching in enumerate_maximal_matchings(g):
         assert is_matching(g, matching.edges)
         assert is_maximal_matching(g, matching.edges)
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_enumeration_and_search_equal_the_oracles(g):
+    rows = maximal_matching_masks(g)
+    assert rows == brute_maximal_masks(g)
+    if g.m <= 8:
+        result = phi_exact(g)
+        assert result.optimal
+        assert (result.size, result.edges) == brute_min_forcing(g, rows)
