@@ -28,9 +28,7 @@ from .corona import (
 )
 from .forcing import (
     ForcingResult,
-    IncidenceMatrix,
     complement_upper_bound,
-    incidence_matrix,
     is_global_forcing_set,
     log2_lower_bound,
     phi_exact,
@@ -63,7 +61,6 @@ from .ilp import (
 )
 from .matchings import (
     BudgetExceededError,
-    Matching,
     MatchingSummary,
     RandomlyMatchableVerdict,
     count_maximal_matchings,

@@ -2,10 +2,10 @@
 
 Every formula here is checked against exact enumeration elsewhere in the test
 suite. A failed verdict is reported, not hidden: :func:`verify_bounds` finds
-``upper_sum`` below the exact forcing number on K1oC4 (exact 6, bound 5) and
-K1oK4 (exact 8, bound 6), among others. Whether the formula misses a
-hypothesis of the paper's theorem or was transcribed wrongly stays open until
-the theorem's text is at hand.
+``upper_sum`` below the exact forcing number on K1oK4 (exact 8, bound 6),
+K1oC4 and K1oK2,2 (exact 6, bound 5), and K2oC4 and K2oK2,2 (exact 12, bound
+10). Whether the formula misses a hypothesis of the paper's theorem or was
+transcribed wrongly stays open until the theorem's text is at hand.
 """
 
 from __future__ import annotations

@@ -31,8 +31,15 @@ from .graph import (
 )
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_graph(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(_read_text(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,7 +126,7 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 
 def _cmd_import_solution(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
-    edges, objective = ilp.import_solution(Path(args.solution).read_text(), g)
+    edges, objective = ilp.import_solution(_read_text(args.solution), g)
     valid = forcing.is_global_forcing_set(g, edges, args.budget)
     payload = {"set": list(edges), "objective": objective, "forcing": valid}
     _emit(json.dumps(payload) + "\n", args.out)
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="vertex count")
     p.add_argument("--a", type=int, default=None, help="first part size (complete_bipartite)")
     p.add_argument("--b", type=int, default=None, help="second part size (complete_bipartite)")
-    _add_common(p)
+    p.add_argument("-o", "--out", default=None, help="write output to this path instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("corona", help="build a corona product plus its partition sidecar")

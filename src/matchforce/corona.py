@@ -27,7 +27,6 @@ class CoronaGraph:
     """
 
     graph: Graph
-    g_factor: Graph
     h_factor: Graph
     g_vertices: tuple[int, ...]
     copy_vertices: tuple[tuple[int, ...], ...]
@@ -65,7 +64,6 @@ def corona_product(g: Graph, h: Graph) -> CoronaGraph:
     product = Graph(n=ng * (1 + nh), edges=tuple(edges))
     return CoronaGraph(
         graph=product,
-        g_factor=g,
         h_factor=h,
         g_vertices=spine,
         copy_vertices=copies,

@@ -27,28 +27,6 @@ DEFAULT_MAX_EDGES = 40
 
 
 @dataclass(frozen=True)
-class IncidenceMatrix:
-    """Maximal matchings versus edges, one bitvector row per matching.
-
-    Row i has bit j set iff edge j belongs to the i-th matching of the
-    canonical enumeration order; rows are therefore distinct.
-    """
-
-    t: int
-    m: int
-    rows: tuple[int, ...]
-
-    def projections_distinct(self, edge_mask: int) -> bool:
-        seen = set()
-        for row in self.rows:
-            proj = row & edge_mask
-            if proj in seen:
-                return False
-            seen.add(proj)
-        return True
-
-
-@dataclass(frozen=True)
 class ForcingResult:
     """A verified forcing set plus the bounds and search statistics behind it.
 
@@ -75,15 +53,16 @@ class ForcingResult:
         }
 
 
-def incidence_matrix(g: Graph, budget: int = DEFAULT_BUDGET) -> IncidenceMatrix:
-    masks = maximal_matching_masks(g, budget)
-    return IncidenceMatrix(t=len(masks), m=g.m, rows=tuple(masks))
-
-
 def is_global_forcing_set(g: Graph, edges: Iterable[int], budget: int = DEFAULT_BUDGET) -> bool:
     """True iff all maximal matchings intersect the edge set differently."""
     mask = edges_to_mask(g, edges)
-    return incidence_matrix(g, budget).projections_distinct(mask)
+    seen = set()
+    for row in maximal_matching_masks(g, budget):
+        proj = row & mask
+        if proj in seen:
+            return False
+        seen.add(proj)
+    return True
 
 
 def _log2_ceil(count: int) -> int:
@@ -140,32 +119,27 @@ def _splits_some_class(col: int, classes: list[int]) -> bool:
     return False
 
 
-def _greedy_columns(rows: list[int], m: int) -> list[int]:
+def _greedy_columns(cols: list[int], t: int) -> list[int]:
     """Pick the edge resolving the most still-identical row pairs until all
-    rows are distinct; ties go to the lowest edge index."""
-    t = len(rows)
-    if t <= 1:
-        return []
-    cols = _column_masks(rows, m)
-    classes = [(1 << t) - 1]
+    t rows are distinct; ties go to the lowest edge index. A chosen edge
+    splits no class afterwards, so its gain is 0 and it is never chosen
+    twice."""
+    # One class of all t rows, or none when a single row needs no test.
+    classes = [(1 << t) - 1] if t > 1 else []
     chosen: list[int] = []
-    taken = set()
     while classes:
         best_j = -1
         best_gain = 0
-        for j in range(m):
-            if j in taken:
-                continue
+        for j, col in enumerate(cols):
             gain = 0
             for cls in classes:
-                a = (cls & cols[j]).bit_count()
+                a = (cls & col).bit_count()
                 gain += a * (cls.bit_count() - a)
             if gain > best_gain:
                 best_gain = gain
                 best_j = j
         # Distinct rows always leave at least one splitting column.
         chosen.append(best_j)
-        taken.add(best_j)
         classes = _refine(classes, cols[best_j])
     return chosen
 
@@ -173,7 +147,7 @@ def _greedy_columns(rows: list[int], m: int) -> list[int]:
 def phi_greedy(g: Graph, budget: int = DEFAULT_BUDGET) -> ForcingResult:
     """Greedy upper bound; the result is a verified forcing set, not optimal."""
     rows = maximal_matching_masks(g, budget)
-    chosen = sorted(_greedy_columns(rows, g.m))
+    chosen = sorted(_greedy_columns(_column_masks(rows, g.m), len(rows)))
     return ForcingResult(
         edges=tuple(chosen),
         size=len(chosen),
@@ -216,12 +190,8 @@ def _check_edge_cap(m: int) -> None:
 def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
     """:func:`phi_exact` on the enumerated maximal matchings of an m-edge graph."""
     t = len(rows)
-    lower0 = _log2_ceil(t)
-    if t <= 1:
-        return ForcingResult((), 0, True, 0, 0, 0)
-
     cols = _column_masks(rows, m)
-    greedy = _greedy_columns(rows, m)
+    greedy = _greedy_columns(cols, t)
     greedy_size = len(greedy)
 
     best_set = tuple(sorted(greedy))
@@ -233,7 +203,7 @@ def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
     optimal = True
     # Frames: next edge to decide, unresolved row classes, chosen edges. The
     # bound is tested on pop, since ``limit`` can tighten while a frame waits.
-    stack = [(0, [(1 << t) - 1], ())]
+    stack = [(0, [(1 << t) - 1] if t > 1 else [], ())]
     while stack:
         i, classes, chosen = stack.pop()
         if len(chosen) + _class_lower_bound(classes) >= limit:
@@ -257,7 +227,7 @@ def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
         edges=best_set,
         size=len(best_set),
         optimal=optimal,
-        lower_bound=lower0,
+        lower_bound=_log2_ceil(t),
         greedy_size=greedy_size,
         nodes=nodes,
     )

@@ -8,11 +8,11 @@ in a plain LP text format and solutions are read back as edge sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .forcing import incidence_matrix
 from .graph import Graph
-from .matchings import DEFAULT_BUDGET, mask_to_edges
+from .matchings import DEFAULT_BUDGET, mask_to_edges, maximal_matching_masks
 
 
 class SolutionFormatError(ValueError):
@@ -56,7 +56,7 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     binary variables. With ``dedup`` on, row pairs inducing the same column
     support share one constraint labeled by the lexicographically first pair.
     """
-    rows = incidence_matrix(g, budget).rows
+    rows = maximal_matching_masks(g, budget)
     t = len(rows)
     # Constraint key -> the row pairs behind it, in first-seen order.
     groups: dict[object, list[tuple[int, int]]] = {}
@@ -128,8 +128,9 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
             raise SolutionFormatError(
                 f"line {lineno}: non-numeric value {value_text!r}"
             ) from None
-        rounded = round(value)
-        if abs(value - rounded) > tolerance or rounded not in (0, 1):
+        # round() fails on nan and inf, which are not binary either.
+        rounded = round(value) if math.isfinite(value) else None
+        if rounded not in (0, 1) or abs(value - rounded) > tolerance:
             raise SolutionFormatError(
                 f"line {lineno}: value {value_text} is not binary within tolerance"
             )

@@ -1,8 +1,8 @@
 """Exhaustive maximal-matching enumeration and the counts derived from it.
 
-Matchings are handled as integer bitmasks over edge indices, which keeps the
-enumeration, the incidence matrix, and the forcing-set search on one shared
-representation.
+A maximal matching is held only as an integer bitmask over edge indices: one
+row of the matchings/edges incidence matrix. The enumeration, the forcing-set
+search and the ILP export all work on that list of rows.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ DEFAULT_BUDGET = 5_000_000
 
 class BudgetExceededError(RuntimeError):
     """The instance is beyond the configured enumeration or search budget."""
-
-
-@dataclass(frozen=True)
-class Matching:
-    """An edge set with the pairwise-nonadjacency invariant.
-
-    ``mask`` has bit i set iff edge i belongs to the matching; ``edges`` is the
-    same set as sorted indices. ``perfect`` is set only when the matching
-    saturates every vertex of the host graph.
-    """
-
-    mask: int
-    edges: tuple[int, ...]
-    saturated: tuple[int, ...]
-    perfect: bool
 
 
 @dataclass(frozen=True)
@@ -79,33 +64,28 @@ def mask_to_edges(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_matching(g: Graph, edges: Iterable[int]) -> bool:
-    """True iff no two of the given edges share an endpoint."""
+def _saturated(g: Graph, edges: Iterable[int]) -> int | None:
+    """The vertices the edges cover, as a bitmask, or None when two of them
+    share a vertex."""
     sat = 0
     for e in _check_edge_indices(g, edges):
         ev = (1 << g.edges[e][0]) | (1 << g.edges[e][1])
         if sat & ev:
-            return False
+            return None
         sat |= ev
-    return True
+    return sat
+
+
+def is_matching(g: Graph, edges: Iterable[int]) -> bool:
+    """True iff no two of the given edges share an endpoint."""
+    return _saturated(g, edges) is not None
 
 
 def is_maximal_matching(g: Graph, edges: Iterable[int]) -> bool:
     """True iff the edges form a matching no edge of ``g`` can extend."""
-    idx = _check_edge_indices(g, edges)
-    member = set(idx)
-    sat = 0
-    for e in idx:
-        ev = (1 << g.edges[e][0]) | (1 << g.edges[e][1])
-        if sat & ev:
-            return False
-        sat |= ev
-    for j, (u, v) in enumerate(g.edges):
-        if j in member:
-            continue
-        if not (sat & ((1 << u) | (1 << v))):
-            return False
-    return True
+    sat = _saturated(g, edges)
+    # A matched edge touches ``sat`` itself, so only unmatched edges can fail.
+    return sat is not None and all(sat & ((1 << u) | (1 << v)) for u, v in g.edges)
 
 
 def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -153,23 +133,12 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     return out
 
 
-def _matching_from_mask(g: Graph, mask: int) -> Matching:
-    edges = mask_to_edges(mask)
-    sat: list[int] = []
-    for e in edges:
-        sat.extend(g.edges[e])
-    sat.sort()
-    return Matching(
-        mask=mask,
-        edges=edges,
-        saturated=tuple(sat),
-        perfect=len(sat) == g.n,
-    )
-
-
-def enumerate_maximal_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> list[Matching]:
-    """All maximal matchings of ``g`` in lexicographic order."""
-    return [_matching_from_mask(g, mask) for mask in maximal_matching_masks(g, budget)]
+def enumerate_maximal_matchings(
+    g: Graph, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """All maximal matchings of ``g`` as sorted edge-index tuples, in
+    lexicographic order: :func:`maximal_matching_masks` spelled out."""
+    return [mask_to_edges(mask) for mask in maximal_matching_masks(g, budget)]
 
 
 def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSummary:

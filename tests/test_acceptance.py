@@ -21,7 +21,6 @@ from matchforce.bounds import (
 from matchforce.corona import corona_product
 from matchforce.forcing import (
     complement_upper_bound,
-    incidence_matrix,
     is_global_forcing_set,
     log2_lower_bound,
     phi_exact,
@@ -152,8 +151,8 @@ def test_criterion_03_second_upper_branch_on_p4():
 
 def test_criterion_04_k3_worked_example():
     k3 = complete(3)
-    matchings = [m.edges for m in enumerate_maximal_matchings(k3)]
-    mat = incidence_matrix(k3)
+    matchings = enumerate_maximal_matchings(k3)
+    rows = maximal_matching_masks(k3)
     lp_text = export_lp(build_model(k3))
     expected_lp = (
         "Minimize\n"
@@ -171,7 +170,7 @@ def test_criterion_04_k3_worked_example():
     edges, objective = import_solution("x1 1\nx2 1\nx3 0\n", k3)
     checks = [
         matchings == [(0,), (1,), (2,)],
-        mat.rows == (0b001, 0b010, 0b100),
+        rows == [0b001, 0b010, 0b100],
         lp_text == expected_lp,
         edges == (0, 1) and objective == 2,
         is_global_forcing_set(k3, edges),

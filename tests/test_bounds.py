@@ -16,12 +16,15 @@ from matchforce.bounds import (
     verify_bounds,
 )
 from matchforce.corona import corona_product
-from matchforce.graph import complete, cycle, path
+from matchforce.graph import complete, complete_bipartite, cycle, path
 from matchforce.matchings import (
     count_maximal_matchings,
     matching_number,
+    maximal_matching_masks,
     summarize_matchings,
 )
+
+from oracles import brute_min_forcing
 
 
 class TestClosedForms:
@@ -153,3 +156,28 @@ def test_sweep_covers_all_pairs_and_passes():
         ("K2", "K2"),
         ("P3", "K1"),
     }
+
+
+# Pairs on which ``upper_sum`` falls below the exact forcing number. The
+# formula is left as implemented until the paper's theorem text settles
+# whether it lacks a hypothesis; these pin the failures so none goes unseen.
+UPPER_SUM_FAILURES = [
+    ("K1oK4", complete(1), complete(4), 8, 6),
+    ("K1oC4", complete(1), cycle(4), 6, 5),
+    ("K1oK2,2", complete(1), complete_bipartite(2, 2), 6, 5),
+    ("K2oC4", complete(2), cycle(4), 12, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "name,g,h,phi,upper_sum", UPPER_SUM_FAILURES, ids=[c[0] for c in UPPER_SUM_FAILURES]
+)
+def test_upper_sum_counterexamples(name, g, h, phi, upper_sum):
+    report = verify_bounds(g, h)
+    assert (report.exact_phi, report.upper_sum) == (phi, upper_sum)
+    assert report.verdicts["upper_sum"] is False
+    assert report.verdicts["upper_complement"] and report.upper_complement == phi
+    assert report.verdicts["lower_randomly"]
+    cg = corona_product(g, h).graph
+    if cg.m <= 12:  # the subset oracle is fast up to here; K2oC4 has 17 edges
+        assert brute_min_forcing(cg, maximal_matching_masks(cg))[0] == phi

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchforce import matchings
 from matchforce.bounds import verify_bounds
@@ -174,6 +179,14 @@ class TestLpRoundTrip:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_import_non_finite_value(self, capsys, tmp_path, k3_file, value):
+        sol = tmp_path / "sol.txt"
+        sol.write_text(f"x1 {value}\n")
+        code, out, err = run(capsys, "import-solution", "--in", k3_file, "--solution", str(sol))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: value {value} is not binary within tolerance\n"
+
 
 class TestBoundsAndSweep:
     def test_bounds_json(self, capsys, k2_file):
@@ -232,6 +245,22 @@ def test_usage_error_exit_code(capsys, k3_file):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["psi", "--in", k3_file, "--budget", "0"]) == 2
+    assert main(["gen", "--family", "path", "--n", "3", "--budget", "7"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--in", "--g", "--h", "--solution"])
+def test_non_utf8_input_is_a_domain_error(capsys, tmp_path, k3_file, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff 2\n")
+    argv = {
+        "--in": ["psi", "--in", str(bad)],
+        "--g": ["bounds", "--g", str(bad), "--h", k3_file],
+        "--h": ["corona", "--g", k3_file, "--h", str(bad), "-o", str(tmp_path / "out.el")],
+        "--solution": ["import-solution", "--in", k3_file, "--solution", str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 4)\n"
 
 
 @pytest.fixture
@@ -262,3 +291,49 @@ def test_each_graph_is_enumerated_once(enumerated, capsys, k3_file):
     enumerated.clear()
     assert run(capsys, "psi", "--in", k3_file, "--json")[0] == 0
     assert enumerated == [complete(3)]
+
+
+# Vertex indices stay at 15 or below: a graph allocates a list per declared
+# vertex, so a large generated index would exhaust memory, not test the CLI.
+_GRAPH_TOKENS = [b"n", b"#", b"-1", b"1.5", b"x", b"\xff", b"\xc3", b"\x80"] + [
+    str(v).encode() for v in range(16)
+]
+# "\udcff" is written out as the lone byte 0xff, which is not UTF-8.
+_SOLUTION_VALUES = ["0", "1", "2", "0.5", "0.9999999", "nan", "inf", "-inf", "1e400", "junk", "\udcff"]
+_EDGE_FLAGS = ["", "0", "0,1", "1,2,3", "-1", "99", "a", "1,,2"]
+
+
+@st.composite
+def cli_inputs(draw):
+    lines = draw(st.lists(st.lists(st.sampled_from(_GRAPH_TOKENS), max_size=3), max_size=12))
+    graph = b"\n".join(b" ".join(line) for line in lines)
+    entries = draw(
+        st.lists(st.tuples(st.integers(0, 15), st.sampled_from(_SOLUTION_VALUES)), max_size=4)
+    )
+    solution = "".join(f"x{i} {value}\n" for i, value in entries)
+    return graph, solution.encode("utf-8", "surrogateescape"), draw(st.sampled_from(_EDGE_FLAGS))
+
+
+@given(cli_inputs())
+@settings(max_examples=150, deadline=None)
+def test_every_exit_code_is_0_1_or_2(inputs):
+    graph, solution, edge_flag = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp, "g.el")
+        graph_path.write_bytes(graph)
+        solution_path = Path(tmp, "sol.txt")
+        solution_path.write_bytes(solution)
+        out = str(Path(tmp, "out.txt"))
+        for argv in (
+            ["psi", "--in", str(graph_path)],
+            ["phi", "--in", str(graph_path), "--node-limit", "1000"],
+            ["verify-forcing", "--in", str(graph_path), "--edges", edge_flag],
+            ["import-solution", "--in", str(graph_path), "--solution", str(solution_path)],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["-o", out])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1

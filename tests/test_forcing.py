@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from matchforce.corona import corona_product
 from matchforce.forcing import (
     complement_upper_bound,
-    incidence_matrix,
     is_global_forcing_set,
     log2_lower_bound,
     phi_exact,
@@ -17,7 +16,7 @@ from matchforce.forcing import (
 from matchforce.graph import complete, complete_bipartite, cycle, empty, path
 from matchforce.matchings import BudgetExceededError, maximal_matching_masks
 
-from oracles import brute_min_forcing, projections_distinct, small_instances
+from oracles import brute_maximal_masks, brute_min_forcing, projections_distinct, small_instances
 
 
 def y_graph():
@@ -25,23 +24,22 @@ def y_graph():
 
 
 class TestIncidenceMatrix:
+    """The matchings/edges incidence matrix is the list of enumerated row masks."""
+
     def test_k3_is_the_identity(self):
-        mat = incidence_matrix(complete(3))
-        assert (mat.t, mat.m) == (3, 3)
-        assert mat.rows == (0b001, 0b010, 0b100)
+        assert maximal_matching_masks(complete(3)) == [0b001, 0b010, 0b100]
 
     def test_p4_rows(self):
-        mat = incidence_matrix(path(4))
-        assert mat.rows == (0b101, 0b010)
+        assert maximal_matching_masks(path(4)) == [0b101, 0b010]
 
     def test_k2_single_row(self):
-        assert incidence_matrix(complete(2)).rows == (0b1,)
+        assert maximal_matching_masks(complete(2)) == [0b1]
 
     def test_rows_are_distinct_maximal_matchings(self):
         g = y_graph()
-        mat = incidence_matrix(g)
-        assert len(set(mat.rows)) == mat.t
-        assert mat.rows == tuple(maximal_matching_masks(g))
+        rows = maximal_matching_masks(g)
+        assert len(set(rows)) == len(rows) == 9
+        assert rows == brute_maximal_masks(g)
 
 
 class TestVerification:
@@ -90,7 +88,7 @@ class TestGreedy:
         assert not result.optimal
         assert is_global_forcing_set(complete(3), result.edges)
         # exhaustive check: no single edge suffices
-        rows = list(incidence_matrix(complete(3)).rows)
+        rows = maximal_matching_masks(complete(3))
         assert not any(projections_distinct(rows, 1 << j) for j in range(3))
 
     def test_p4(self):

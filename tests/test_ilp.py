@@ -114,6 +114,11 @@ class TestImport:
         with pytest.raises(SolutionFormatError, match="not binary"):
             import_solution("x1 0.5\n", complete(3))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(SolutionFormatError, match="not binary"):
+            import_solution(f"x1 {value}\n", complete(3))
+
     def test_non_binary_integer_rejected(self):
         with pytest.raises(SolutionFormatError, match="not binary"):
             import_solution("x1 2\n", complete(3))

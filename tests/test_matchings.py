@@ -14,6 +14,7 @@ from matchforce.matchings import (
     is_matching,
     is_maximal_matching,
     is_randomly_matchable,
+    mask_to_edges,
     matching_number,
     maximal_matching_masks,
     saturation_number,
@@ -52,10 +53,10 @@ class TestPredicates:
 
 class TestEnumeration:
     def test_p4_matches_subset_oracle(self):
-        assert [m.edges for m in enumerate_maximal_matchings(path(4))] == [(0, 2), (1,)]
+        assert enumerate_maximal_matchings(path(4)) == [(0, 2), (1,)]
 
     def test_k3_yields_the_three_singletons(self):
-        assert [m.edges for m in enumerate_maximal_matchings(complete(3))] == [
+        assert enumerate_maximal_matchings(complete(3)) == [
             (0,),
             (1,),
             (2,),
@@ -70,19 +71,17 @@ class TestEnumeration:
         assert len(masks) == 9
         assert sum(1 for mask in masks if mask & 1) == 1
 
-    def test_matching_objects_carry_derived_fields(self):
+    def test_listing_spells_out_the_masks(self):
         y = corona_product(complete(2), complete(2)).graph
-        for matching in enumerate_maximal_matchings(y):
-            assert is_maximal_matching(y, matching.edges)
-            assert matching.perfect == (len(matching.saturated) == y.n)
-            assert set(matching.saturated) == {
-                v for e in matching.edges for v in y.edges[e]
-            }
+        listing = enumerate_maximal_matchings(y)
+        assert listing == [mask_to_edges(mask) for mask in maximal_matching_masks(y)]
+        for edges in listing:
+            assert is_maximal_matching(y, edges)
 
     def test_deterministic_and_lexicographic(self):
         g = cycle(6)
-        first = [m.edges for m in enumerate_maximal_matchings(g)]
-        second = [m.edges for m in enumerate_maximal_matchings(g)]
+        first = enumerate_maximal_matchings(g)
+        second = enumerate_maximal_matchings(g)
         assert first == second == sorted(first)
 
     def test_budget_overflow_is_an_error(self):
@@ -207,9 +206,9 @@ def small_graphs(draw):
 def test_enumerated_matchings_satisfy_both_predicates(g):
     masks = maximal_matching_masks(g)
     assert len(set(masks)) == len(masks)
-    for matching in enumerate_maximal_matchings(g):
-        assert is_matching(g, matching.edges)
-        assert is_maximal_matching(g, matching.edges)
+    for edges in enumerate_maximal_matchings(g):
+        assert is_matching(g, edges)
+        assert is_maximal_matching(g, edges)
 
 
 @given(small_graphs())
