@@ -22,15 +22,11 @@ from .bounds import (
 from .corona import (
     CoronaGraph,
     corona_product,
-    partition_from_json,
-    partition_of_edge,
     partition_to_json,
 )
 from .forcing import (
     ForcingResult,
-    complement_upper_bound,
     is_global_forcing_set,
-    log2_lower_bound,
     phi_exact,
     phi_greedy,
 )
@@ -63,15 +59,11 @@ from .matchings import (
     BudgetExceededError,
     MatchingSummary,
     RandomlyMatchableVerdict,
-    count_maximal_matchings,
     enumerate_maximal_matchings,
-    has_perfect_matching,
     is_matching,
     is_maximal_matching,
     is_randomly_matchable,
-    matching_number,
     maximal_matching_masks,
-    saturation_number,
     summarize_matchings,
 )
 

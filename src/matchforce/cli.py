@@ -320,10 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GraphError, matchings.BudgetExceededError, ilp.SolutionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraphError, matchings.BudgetExceededError, ilp.SolutionFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ from .matchings import (
     DEFAULT_BUDGET,
     edges_to_mask,
     maximal_matching_masks,
-    summarize_matchings,
 )
 
 DEFAULT_NODE_LIMIT = 100_000_000
@@ -67,18 +66,6 @@ def is_global_forcing_set(g: Graph, edges: Iterable[int], budget: int = DEFAULT_
 
 def _log2_ceil(count: int) -> int:
     return (count - 1).bit_length() if count > 1 else 0
-
-
-def log2_lower_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """ceil(log2) of the number of maximal matchings: each chosen edge can at
-    most double the number of distinguishable groups."""
-    return _log2_ceil(len(maximal_matching_masks(g, budget)))
-
-
-def complement_upper_bound(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Edge count minus the matching number: removing a maximum matching from
-    the edge set leaves a global forcing set."""
-    return g.m - summarize_matchings(g, budget).nu
 
 
 def _column_masks(rows: list[int], m: int) -> list[int]:

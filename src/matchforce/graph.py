@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -21,8 +21,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    # vertex -> indices of incident edges, derived in __post_init__
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -30,7 +28,6 @@ class Graph:
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
         seen: set[tuple[int, int]] = set()
-        incident: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(edges):
             if u == v:
                 raise GraphError(f"edge {i} is a self-loop at vertex {u}")
@@ -40,23 +37,10 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge {key} at index {i}")
             seen.add(key)
-            incident[u].append(i)
-            incident[v].append(i)
-        object.__setattr__(self, "adjacency", tuple(tuple(ix) for ix in incident))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for e in self.adjacency[v]:
-            a, b = self.edges[e]
-            out.append(b if a == v else a)
-        return tuple(out)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -186,6 +170,11 @@ def empty(n: int) -> Graph:
     return generate(GraphFamily("empty", n))
 
 
+# Compact-name prefix of each single-parameter family; "K<a>,<b>" names
+# complete_bipartite.
+_FAMILY_PREFIXES = {"path": "P", "cycle": "C", "complete": "K", "star": "S", "empty": "E"}
+
+
 def parse_family_name(name: str) -> GraphFamily:
     """Parse compact names: K4, K2,3, P5, C6, S4, E3."""
     name = name.strip()
@@ -199,34 +188,48 @@ def parse_family_name(name: str) -> GraphFamily:
         return GraphFamily("complete_bipartite", int(a_txt), int(b_txt))
     if not rest.isdigit():
         raise GraphError(f"cannot parse family name {name!r}")
-    kinds = {"P": "path", "C": "cycle", "K": "complete", "S": "star", "E": "empty"}
+    kinds = {p: kind for kind, p in _FAMILY_PREFIXES.items()}
     if prefix not in kinds:
         raise GraphError(f"unknown family prefix in {name!r}")
     return GraphFamily(kinds[prefix], int(rest))
 
 
 def family_label(family: GraphFamily) -> str:
-    prefixes = {"path": "P", "cycle": "C", "complete": "K", "star": "S", "empty": "E"}
     if family.kind == "complete_bipartite":
         return f"K{family.a},{family.b}"
-    return f"{prefixes[family.kind]}{family.a}"
+    return f"{_FAMILY_PREFIXES[family.kind]}{family.a}"
+
+
+def _neighbours(g: Graph) -> dict[int, list[int]]:
+    """Vertex -> neighbours in edge-index order, for vertices with an edge."""
+    out: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        out.setdefault(u, []).append(v)
+        out.setdefault(v, []).append(u)
+    return out
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    unseen = set(range(g.n))
+    return _components(g.n, _neighbours(g))
+
+
+def _components(n: int, nbrs: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
+    seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if start not in unseen:
+    for start in range(n):
+        if start not in nbrs:
+            comps.append((start,))
+            continue
+        if start in seen:
             continue
         stack = [start]
-        unseen.discard(start)
+        seen.add(start)
         comp = [start]
         while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w in unseen:
-                    unseen.discard(w)
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
                     comp.append(w)
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
@@ -246,30 +249,31 @@ def recognize_structure(g: Graph) -> tuple[str, ...]:
     complete bipartite graph with equal part sizes, and ``other`` otherwise.
     K2 qualifies as both and reports ``complete_even``.
     """
-    return tuple(_component_tag(g, comp) for comp in connected_components(g))
+    nbrs = _neighbours(g)
+    return tuple(_component_tag(nbrs, comp) for comp in _components(g.n, nbrs))
 
 
-def _component_tag(g: Graph, comp: tuple[int, ...]) -> str:
-    vset = set(comp)
+def _component_tag(nbrs: dict[int, list[int]], comp: tuple[int, ...]) -> str:
     k = len(comp)
-    m_c = sum(1 for u, v in g.edges if u in vset)
-    if k >= 2 and k % 2 == 0 and m_c == k * (k - 1) // 2:
+    if k < 2:
+        return OTHER
+    m_c = sum(len(nbrs[v]) for v in comp) // 2
+    if k % 2 == 0 and m_c == k * (k - 1) // 2:
         return COMPLETE_EVEN
-    side = _bipartition(g, comp)
+    side = _bipartition(nbrs, comp)
     if side is not None:
         part_a = sum(1 for v in comp if side[v] == 0)
-        part_b = k - part_a
-        if part_a == part_b >= 1 and m_c == part_a * part_b:
+        if 2 * part_a == k and m_c == part_a * part_a:
             return BALANCED_COMPLETE_BIPARTITE
     return OTHER
 
 
-def _bipartition(g: Graph, comp: tuple[int, ...]) -> dict[int, int] | None:
+def _bipartition(nbrs: dict[int, list[int]], comp: tuple[int, ...]) -> dict[int, int] | None:
     side = {comp[0]: 0}
     stack = [comp[0]]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if w not in side:
                 side[w] = 1 - side[v]
                 stack.append(w)

@@ -100,7 +100,10 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = g.m
     # near[e]: the edges sharing a vertex with e, e included.
-    incident = [sum(1 << e for e in inc) for inc in g.adjacency]
+    incident: dict[int, int] = {}
+    for e, (u, v) in enumerate(g.edges):
+        incident[u] = incident.get(u, 0) | 1 << e
+        incident[v] = incident.get(v, 0) | 1 << e
     near = [incident[u] | incident[v] for u, v in g.edges]
     # dead[j]: the edges whose neighbours all lie below j. Once the scan
     # reaches j, an excluded-but-still-addable one can never be blocked again.
@@ -160,23 +163,6 @@ def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:
     )
 
 
-def count_maximal_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    return summarize_matchings(g, budget).psi
-
-
-def matching_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    # Every maximum matching is maximal, so the enumeration is exhaustive here.
-    return summarize_matchings(g, budget).nu
-
-
-def saturation_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    return summarize_matchings(g, budget).sat
-
-
-def has_perfect_matching(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
-    return summarize_matchings(g, budget).has_perfect
-
-
 def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMatchableVerdict:
     """Both views of "every maximal matching is perfect".
 
@@ -185,7 +171,7 @@ def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMat
     component to be an even complete graph or a balanced complete bipartite
     graph. The two agree on connected graphs.
     """
-    definitional = 2 * saturation_number(g, budget) == g.n
+    definitional = 2 * summarize_matchings(g, budget).sat == g.n
     allowed = {COMPLETE_EVEN, BALANCED_COMPLETE_BIPARTITE}
     structural = all(tag in allowed for tag in recognize_structure(g))
     return RandomlyMatchableVerdict(definitional=definitional, structural=structural)

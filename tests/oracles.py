@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations for the test suite.
 
-Nothing here reuses the package's enumeration or search code paths: matchings
-are checked straight from the definition over all edge subsets, and minimum
-forcing sets come from exhaustive subset search.
+Nothing here reuses the package's enumeration, search or structure code
+paths: matchings are checked straight from the definition over all edge
+subsets, minimum forcing sets come from exhaustive subset search, and
+component tags from testing every vertex pair and every equal split.
 """
 
 from __future__ import annotations
@@ -40,6 +41,51 @@ def brute_maximal_masks(g: Graph) -> list[int]:
         if maximal:
             out.append(mask)
     return sorted(out, key=lambda mask: tuple(i for i in range(m) if mask >> i & 1))
+
+
+def degrees(g: Graph) -> list[int]:
+    """Degree of every vertex, counted from the edge list."""
+    out = [0] * g.n
+    for u, v in g.edges:
+        out[u] += 1
+        out[v] += 1
+    return out
+
+
+def brute_structure(g: Graph) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """Connected components ordered by smallest member, and the tag of each,
+    straight from the definitions.
+
+    Components come from the transitive closure of the adjacency relation. A
+    component is ``complete_even`` when it has an even number (>= 2) of
+    vertices and every pair of them is adjacent; otherwise it is
+    ``balanced_complete_bipartite`` when some split into two equal halves has
+    every cross pair adjacent and no pair inside a half adjacent.
+    """
+    adj = {frozenset(e) for e in g.edges}
+    reach = [[u == v or frozenset((u, v)) in adj for v in range(g.n)] for u in range(g.n)]
+    for k in range(g.n):
+        for u in range(g.n):
+            if reach[u][k]:
+                for v in range(g.n):
+                    reach[u][v] = reach[u][v] or reach[k][v]
+    comps = tuple(sorted({tuple(v for v in range(g.n) if reach[u][v]) for u in range(g.n)}))
+
+    def joined(a: int, b: int) -> bool:
+        return frozenset((a, b)) in adj
+
+    tags = []
+    for comp in comps:
+        k = len(comp)
+        if k >= 2 and k % 2 == 0 and all(joined(a, b) for a, b in combinations(comp, 2)):
+            tags.append("complete_even")
+            continue
+        balanced = k >= 2 and k % 2 == 0 and any(
+            all(joined(a, b) != ((a in half) == (b in half)) for a, b in combinations(comp, 2))
+            for half in map(set, combinations(comp, k // 2))
+        )
+        tags.append("balanced_complete_bipartite" if balanced else "other")
+    return comps, tuple(tags)
 
 
 def projections_distinct(rows: list[int], cols_mask: int) -> bool:

@@ -19,19 +19,13 @@ from matchforce.bounds import (
     verify_bounds,
 )
 from matchforce.corona import corona_product
-from matchforce.forcing import (
-    complement_upper_bound,
-    is_global_forcing_set,
-    log2_lower_bound,
-    phi_exact,
-)
+from matchforce.forcing import is_global_forcing_set, phi_exact
 from matchforce.graph import complete, complete_bipartite, path
 from matchforce.ilp import build_model, export_lp, import_solution
 from matchforce.matchings import (
-    count_maximal_matchings,
     enumerate_maximal_matchings,
-    matching_number,
     maximal_matching_masks,
+    summarize_matchings,
 )
 
 from oracles import brute_maximal_masks, brute_min_forcing, small_instances
@@ -80,7 +74,7 @@ Y_MAXIMAL_MATCHINGS = [
 def test_criterion_01_psi_of_y():
     cg = corona_product(complete(2), complete(2))
     y = cg.graph
-    psi = count_maximal_matchings(y)
+    psi = summarize_matchings(y).psi
     masks = maximal_matching_masks(y)
     listed = [tuple(y.edges[i] for i in range(y.m) if mask >> i & 1) for mask in masks]
     (spine,) = cg.part_eg
@@ -121,9 +115,9 @@ def test_criterion_01_psi_of_y():
 
 def test_criterion_02_phi_of_y(y_graph):
     result = phi_exact(y_graph)
-    lower = log2_lower_bound(y_graph)
-    upper = complement_upper_bound(y_graph)
-    nu = matching_number(y_graph)
+    lower = result.lower_bound
+    nu = summarize_matchings(y_graph).nu
+    upper = corona_phi_upper_complement(y_graph.m, nu)
     ok = result.size == 4 and lower == 4 and upper == 4 and y_graph.m - nu == 4
     assert report(
         2,
@@ -137,7 +131,7 @@ def test_criterion_02_phi_of_y(y_graph):
 def test_criterion_03_second_upper_branch_on_p4():
     cg = corona_product(complete(2), complete(1))
     phi = phi_exact(cg.graph).size
-    nu_h = matching_number(complete(1))
+    nu_h = summarize_matchings(complete(1)).nu
     predicted_nu = corona_matching_number(1, 2, nu_h, False)
     bound = corona_phi_upper_complement(cg.graph.m, predicted_nu)
     ok = phi == 1 and bound == 1
@@ -272,8 +266,8 @@ def test_criterion_08_oracle_suites():
 
 
 def test_criterion_09_fibonacci_convention():
-    two_vertex = count_maximal_matchings(corona_product(path(2), complete(3)).graph)
-    three_vertex = count_maximal_matchings(corona_product(path(3), complete(3)).graph)
+    two_vertex = summarize_matchings(corona_product(path(2), complete(3)).graph).psi
+    three_vertex = summarize_matchings(corona_product(path(3), complete(3)).graph).psi
     edge_convention = psi_path_corona_triangle(2)  # P3 has 2 edges
     vertex_convention = psi_path_corona_triangle(3)  # n = vertex count reading
     matches = {

@@ -17,12 +17,7 @@ from matchforce.bounds import (
 )
 from matchforce.corona import corona_product
 from matchforce.graph import complete, complete_bipartite, cycle, path
-from matchforce.matchings import (
-    count_maximal_matchings,
-    matching_number,
-    maximal_matching_masks,
-    summarize_matchings,
-)
+from matchforce.matchings import maximal_matching_masks, summarize_matchings
 
 from oracles import brute_min_forcing
 
@@ -123,9 +118,9 @@ class TestVerifyBounds:
         report = verify_bounds(complete(2), complete(2))
         data = report.to_dict()
         assert data["all_pass"] is True
-        assert data["exact_psi"] == count_maximal_matchings(
+        assert data["exact_psi"] == summarize_matchings(
             corona_product(complete(2), complete(2)).graph
-        )
+        ).psi
 
 
 NU_GRID_G = [("K1", complete(1)), ("K2", complete(2)), ("K3", complete(3)), ("P3", path(3)), ("C4", cycle(4))]
@@ -137,9 +132,9 @@ NU_GRID_H = [("K1", complete(1)), ("K2", complete(2)), ("K3", complete(3)), ("P3
 def test_matching_number_formula_on_wide_grid(g_name, g, h_name, h):
     summary_h = summarize_matchings(h)
     predicted = corona_matching_number(
-        matching_number(g), g.n, summary_h.nu, summary_h.has_perfect
+        summarize_matchings(g).nu, g.n, summary_h.nu, summary_h.has_perfect
     )
-    assert predicted == matching_number(corona_product(g, h).graph)
+    assert predicted == summarize_matchings(corona_product(g, h).graph).nu
 
 
 def test_sweep_covers_all_pairs_and_passes():

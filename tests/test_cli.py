@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from matchforce import matchings
 from matchforce.bounds import verify_bounds
 from matchforce.cli import main
-from matchforce.corona import corona_product, partition_from_json
+from matchforce.corona import corona_product
 from matchforce.graph import complete, parse_edge_list, serialize_edge_list, star
 
 
@@ -142,10 +143,10 @@ class TestCorona:
         cg = corona_product(complete(2), complete(2))
         rebuilt = parse_edge_list(out.read_text())
         assert rebuilt.edges == cg.graph.edges
-        parts = partition_from_json((tmp_path / "Y.el.partition.json").read_text())
-        assert parts["EG"] == cg.part_eg
-        assert parts["EH"] == cg.part_eh
-        assert parts["EGH"] == cg.part_egh
+        parts = json.loads((tmp_path / "Y.el.partition.json").read_text())
+        assert parts["EG"] == list(cg.part_eg)
+        assert parts["EH"] == [list(cell) for cell in cg.part_eh]
+        assert parts["EGH"] == [list(cell) for cell in cg.part_egh]
 
     def test_psi_of_written_corona(self, capsys, tmp_path, k2_file):
         out = tmp_path / "Y.el"
@@ -293,9 +294,26 @@ def test_each_graph_is_enumerated_once(enumerated, capsys, k3_file):
     assert enumerated == [complete(3)]
 
 
-# Vertex indices stay at 15 or below: a graph allocates a list per declared
-# vertex, so a large generated index would exhaust memory, not test the CLI.
-_GRAPH_TOKENS = [b"n", b"#", b"-1", b"1.5", b"x", b"\xff", b"\xc3", b"\x80"] + [
+@pytest.mark.parametrize(
+    "argv", [["psi"], ["phi", "--json"], ["export-lp"]], ids=["psi", "phi-json", "export-lp"]
+)
+def test_declared_vertex_count_costs_no_memory(capsys, tmp_path, argv):
+    # Only the one edge should cost memory, not the 200,000 declared vertices.
+    wide = tmp_path / "wide.el"
+    wide.write_text("n 200000\n0 1\n")
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--in", str(wide)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert peak < 2_000_000
+
+
+# Vertex indices are 15 or below, plus one far index: a graph costs memory
+# for its edges only, not for every vertex the far index declares.
+_GRAPH_TOKENS = [b"n", b"#", b"-1", b"1.5", b"x", b"\xff", b"\xc3", b"\x80", b"200000"] + [
     str(v).encode() for v in range(16)
 ]
 # "\udcff" is written out as the lone byte 0xff, which is not UTF-8.

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from matchforce.corona import (
-    corona_product,
-    partition_from_json,
-    partition_of_edge,
-    partition_to_json,
-)
+from matchforce.corona import corona_product, partition_to_json
 from matchforce.graph import Graph, GraphError, complete, cycle, path
+
+from oracles import degrees
 
 
 @pytest.fixture
@@ -20,8 +19,6 @@ class TestConstruction:
     def test_y_layout(self, y_graph):
         assert y_graph.graph.n == 6
         assert y_graph.graph.m == 7
-        assert y_graph.g_vertices == (0, 1)
-        assert y_graph.copy_vertices == ((2, 3), (4, 5))
         # spine edge first, then copy edges, then join edges copy by copy
         assert y_graph.graph.edges == (
             (0, 1),
@@ -35,13 +32,18 @@ class TestConstruction:
         assert y_graph.part_eg == (0,)
         assert y_graph.part_eh == ((1,), (2,))
         assert y_graph.part_egh == ((3, 4), (5, 6))
+        # the join edges of copy i reach exactly that copy's vertices
+        copies = [
+            {v for e in cell for v in y_graph.graph.edges[e]} - {i}
+            for i, cell in enumerate(y_graph.part_egh)
+        ]
+        assert copies == [{2, 3}, {4, 5}]
 
     def test_k2_corona_k1_is_a_path(self):
         cg = corona_product(complete(2), complete(1))
         g = cg.graph
         assert (g.n, g.m) == (4, 3)
-        degrees = sorted(g.degree(v) for v in range(g.n))
-        assert degrees == [1, 1, 2, 2]  # a 4-vertex tree with these degrees is P4
+        assert sorted(degrees(g)) == [1, 1, 2, 2]  # a 4-vertex tree with these degrees is P4
 
     def test_k1_corona_k3_is_k4(self):
         cg = corona_product(complete(1), complete(3))
@@ -92,10 +94,11 @@ def test_partition_is_exact_and_join_edges_touch_spine(g_name, h_name):
         assert len(cell) == h.n
         for e in cell:
             assert i in cg.graph.edges[e]  # spine vertex i is an endpoint
+    spine_degrees = degrees(cg.graph)[: g.n]
+    assert spine_degrees == [d + h.n for d in degrees(g)]
     for i in range(g.n):
-        assert cg.graph.degree(i) == g.degree(i) + h.n
-    for i, copy in enumerate(cg.copy_vertices):
-        relabel = {w: j for j, w in enumerate(copy)}
+        # vertex j of copy i is g.n + i*h.n + j
+        relabel = {g.n + i * h.n + j: j for j in range(h.n)}
         inner = {
             (relabel[u], relabel[v])
             for u, v in (cg.graph.edges[e] for e in cg.part_eh[i])
@@ -105,46 +108,19 @@ def test_partition_is_exact_and_join_edges_touch_spine(g_name, h_name):
 
 class TestPartitionOfEdge:
     def test_tags_by_layout_region(self, y_graph):
-        assert partition_of_edge(y_graph, 0) == ("EG", None)
-        assert partition_of_edge(y_graph, 1) == ("EH", 1)
-        assert partition_of_edge(y_graph, 6) == ("EGH", 2)
-
-    def test_every_edge_lands_in_its_cell(self, y_graph):
-        for e in range(y_graph.graph.m):
-            kind, copy = partition_of_edge(y_graph, e)
-            if kind == "EG":
-                assert e in y_graph.part_eg
-            elif kind == "EH":
-                assert e in y_graph.part_eh[copy - 1]
-            else:
-                assert e in y_graph.part_egh[copy - 1]
-
-    def test_out_of_range(self, y_graph):
-        with pytest.raises(IndexError):
-            partition_of_edge(y_graph, 7)
-        with pytest.raises(IndexError):
-            partition_of_edge(y_graph, -1)
+        assert 0 in y_graph.part_eg
+        assert 1 in y_graph.part_eh[0]
+        assert 6 in y_graph.part_egh[1]
 
     def test_edgeless_second_factor(self):
         cg = corona_product(path(3), complete(1))
-        tags = [partition_of_edge(cg, e) for e in range(cg.graph.m)]
-        assert tags == [
-            ("EG", None),
-            ("EG", None),
-            ("EGH", 1),
-            ("EGH", 2),
-            ("EGH", 3),
-        ]
+        assert cg.part_eg == (0, 1)
+        assert cg.part_eh == ((), (), ())
+        assert cg.part_egh == ((2,), (3,), (4,))
 
 
 def test_partition_sidecar_round_trip(y_graph):
-    text = partition_to_json(y_graph)
-    parts = partition_from_json(text)
-    assert parts["EG"] == y_graph.part_eg
-    assert parts["EH"] == y_graph.part_eh
-    assert parts["EGH"] == y_graph.part_egh
-
-
-def test_partition_sidecar_rejects_missing_keys():
-    with pytest.raises(GraphError, match="missing"):
-        partition_from_json('{"EG": []}')
+    parts = json.loads(partition_to_json(y_graph))
+    assert parts["EG"] == list(y_graph.part_eg)
+    assert parts["EH"] == [list(cell) for cell in y_graph.part_eh]
+    assert parts["EGH"] == [list(cell) for cell in y_graph.part_egh]

@@ -5,16 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
-from matchforce.forcing import (
-    complement_upper_bound,
-    is_global_forcing_set,
-    log2_lower_bound,
-    phi_exact,
-    phi_greedy,
-)
+from matchforce.forcing import is_global_forcing_set, phi_exact, phi_greedy
 from matchforce.graph import complete, complete_bipartite, cycle, empty, path
-from matchforce.matchings import BudgetExceededError, maximal_matching_masks
+from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
 from oracles import brute_maximal_masks, brute_min_forcing, projections_distinct, small_instances
 
@@ -69,16 +64,22 @@ class TestVerification:
             assert is_global_forcing_set(g, base | set(extra))
 
 
+def _complement_upper_bound(g):
+    """Edge count minus the matching number: removing a maximum matching
+    from the edge set leaves a global forcing set."""
+    return corona_phi_upper_complement(g.m, summarize_matchings(g).nu)
+
+
 class TestBounds:
     def test_log2_lower_bound(self):
-        assert log2_lower_bound(y_graph()) == 4
-        assert log2_lower_bound(complete(3)) == 2
-        assert log2_lower_bound(complete(2)) == 0
+        assert phi_greedy(y_graph()).lower_bound == 4
+        assert phi_greedy(complete(3)).lower_bound == 2
+        assert phi_greedy(complete(2)).lower_bound == 0
 
     def test_complement_upper_bound(self):
-        assert complement_upper_bound(y_graph()) == 4  # 7 - 3
-        assert complement_upper_bound(complete(3)) == 2
-        assert complement_upper_bound(path(4)) == 1
+        assert _complement_upper_bound(y_graph()) == 4  # 7 - 3
+        assert _complement_upper_bound(complete(3)) == 2
+        assert _complement_upper_bound(path(4)) == 1
 
 
 class TestGreedy:
@@ -182,9 +183,9 @@ def test_node_limit_pins_visiting_order_and_node_count(node_limit, edges):
 @pytest.mark.parametrize("name,graph", EXACT_INSTANCES, ids=EXACT_IDS)
 def test_bound_sandwich(name, graph):
     exact = phi_exact(graph)
-    assert log2_lower_bound(graph) <= exact.size
+    assert exact.lower_bound <= exact.size
     assert exact.size <= phi_greedy(graph).size
-    assert exact.size <= complement_upper_bound(graph)
+    assert exact.size <= _complement_upper_bound(graph)
 
 
 class TestClosedForms:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matchforce.graph import (
     Graph,
@@ -22,15 +24,10 @@ from matchforce.graph import (
     star,
 )
 
+from oracles import brute_structure, degrees
+
 
 class TestGraphConstruction:
-    def test_adjacency_is_consistent_with_edges(self):
-        g = Graph(n=4, edges=((0, 1), (1, 2), (3, 1)))
-        assert g.m == 3
-        assert g.adjacency == ((0,), (0, 1, 2), (1,), (2,))
-        assert g.degree(1) == 3
-        assert g.neighbors(1) == (0, 2, 3)
-
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
             Graph(n=2, edges=((1, 1),))
@@ -143,10 +140,27 @@ def test_serialize_parse_round_trip(family):
     assert (again.n, again.edges) == (g.n, g.edges)
 
 
+def _closed_form_degrees(family: GraphFamily) -> list[int]:
+    """Degree sequence of a family member in vertex order, from its definition."""
+    kind, a, b = family.kind, family.a, family.b
+    if kind == "complete_bipartite":
+        return [b] * a + [a] * b
+    if a == 1 or kind == "empty":
+        return [0] * a
+    if kind == "path":
+        return [1] + [2] * (a - 2) + [1]
+    if kind == "cycle":
+        return [2] * a
+    if kind == "complete":
+        return [a - 1] * a
+    return [a - 1] + [1] * (a - 1)  # star
+
+
 @pytest.mark.parametrize("family", ALL_SMALL_FAMILIES, ids=family_label)
 def test_degree_sum_is_twice_edge_count(family):
     g = generate(family)
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+    assert degrees(g) == _closed_form_degrees(family)
+    assert sum(degrees(g)) == 2 * g.m
 
 
 class TestRecognizeStructure:
@@ -185,6 +199,52 @@ class TestRecognizeStructure:
         assert connected_components(g) == ((0,), (1,), (2, 3))
 
 
+@st.composite
+def unions_of_blocks(draw):
+    """Graphs on at most 7 vertices built as disjoint blocks of vertices.
+
+    Each block is complete, balanced complete bipartite, complete bipartite
+    at a random cut (so possibly unbalanced or edgeless) or random. Up to two
+    vertex pairs are toggled afterwards, and the edges come in random order
+    and orientation. Blocks of one vertex are isolated vertices.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    order = draw(st.permutations(range(n)))
+    keys: set[tuple[int, int]] = set()
+    start = 0
+    while start < n:
+        size = draw(st.just(n - start) | st.integers(min_value=1, max_value=n - start))
+        block = order[start : start + size]
+        start += size
+        kind = draw(st.sampled_from(["complete", "balanced", "bipartite", "random"]))
+        if kind == "complete":
+            pairs = list(combinations(block, 2))
+        elif kind == "balanced":
+            pairs = [(a, b) for a in block[::2] for b in block[1::2]]
+        elif kind == "bipartite":
+            cut = draw(st.integers(min_value=0, max_value=size))
+            pairs = [(a, b) for a in block[:cut] for b in block[cut:]]
+        else:
+            pairs = [p for p in combinations(block, 2) if draw(st.booleans())]
+        keys.update((min(p), max(p)) for p in pairs)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        u, v = draw(vertex), draw(vertex)
+        if u != v:
+            keys ^= {(min(u, v), max(u, v))}
+    edges = draw(st.permutations(sorted(keys)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Graph(n=n, edges=tuple((v, u) if f else (u, v) for (u, v), f in zip(edges, flips)))
+
+
+@settings(max_examples=300)
+@given(unions_of_blocks())
+def test_structure_equals_the_oracle(g):
+    comps, tags = brute_structure(g)
+    assert connected_components(g) == comps
+    assert recognize_structure(g) == tags
+
+
 @given(
     st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.tuples(
@@ -209,6 +269,7 @@ def test_random_graphs_round_trip_and_degree_sum(data):
         seen.add(key)
         edges.append((u, v))
     g = Graph(n=n, edges=tuple(edges))
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+    assert degrees(g) == [sum(v in key for key in seen) for v in range(n)]
+    assert sum(degrees(g)) == 2 * g.m
     again = parse_edge_list(serialize_edge_list(g))
     assert (again.n, again.edges) == (g.n, g.edges)

@@ -8,16 +8,12 @@ from matchforce.forcing import phi_exact
 from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path, star
 from matchforce.matchings import (
     BudgetExceededError,
-    count_maximal_matchings,
     enumerate_maximal_matchings,
-    has_perfect_matching,
     is_matching,
     is_maximal_matching,
     is_randomly_matchable,
     mask_to_edges,
-    matching_number,
     maximal_matching_masks,
-    saturation_number,
     summarize_matchings,
 )
 
@@ -123,26 +119,26 @@ def test_summary_invariants(name, graph):
 
 class TestCounts:
     def test_counts_on_named_graphs(self):
-        assert count_maximal_matchings(complete(4)) == 3
-        assert matching_number(path(4)) == 2
-        assert matching_number(complete(3)) == 1
-        assert saturation_number(path(4)) == 1
-        assert saturation_number(complete(4)) == 2
-        assert saturation_number(star(4)) == 1
+        assert summarize_matchings(complete(4)).psi == 3
+        assert summarize_matchings(path(4)).nu == 2
+        assert summarize_matchings(complete(3)).nu == 1
+        assert summarize_matchings(path(4)).sat == 1
+        assert summarize_matchings(complete(4)).sat == 2
+        assert summarize_matchings(star(4)).sat == 1
 
     def test_perfect_matching_existence(self):
-        assert has_perfect_matching(complete(2))
-        assert not has_perfect_matching(complete(3))
-        assert has_perfect_matching(cycle(4))
+        assert summarize_matchings(complete(2)).has_perfect
+        assert not summarize_matchings(complete(3)).has_perfect
+        assert summarize_matchings(cycle(4)).has_perfect
 
     def test_y_matching_number_matches_factor_formula(self):
         # nu(K2) + 2 * nu(K2) = 3, cross-checked by enumeration
         y = corona_product(complete(2), complete(2)).graph
-        assert matching_number(y) == 3
+        assert summarize_matchings(y).nu == 3
 
     def test_p2_corona_k3_count(self):
         g = corona_product(path(2), complete(3)).graph
-        assert count_maximal_matchings(g) == 18
+        assert summarize_matchings(g).psi == 18
 
 
 class TestRandomlyMatchable:
