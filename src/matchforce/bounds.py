@@ -3,9 +3,10 @@
 Every formula here is checked against exact enumeration elsewhere in the test
 suite. A failed verdict is reported, not hidden: :func:`verify_bounds` finds
 ``upper_sum`` below the exact forcing number on K1oK4 (exact 8, bound 6),
-K1oC4 and K1oK2,2 (exact 6, bound 5), and K2oC4 and K2oK2,2 (exact 12, bound
-10). Whether the formula misses a hypothesis of the paper's theorem or was
-transcribed wrongly stays open until the theorem's text is at hand.
+K1oC4 and K1oK2,2 (exact 6, bound 5), K2oC4 and K2oK2,2 (exact 12, bound
+10), C4oK2 (exact 10, bound 9), K3oC4 (exact 20, bound 17) and P3oC4 (exact
+19, bound 16). Whether the formula misses a hypothesis of the paper's theorem
+or was transcribed wrongly stays open until the theorem's text is at hand.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     _summarize_masks,
+    edge_neighbourhoods,
     maximal_matching_masks,
 )
 
@@ -177,7 +179,7 @@ def verify_bounds(
     """
     def phi_of(graph: Graph, rows: list[int]) -> ForcingResult:
         _check_edge_cap(graph.m)
-        return _phi_exact_rows(rows, graph.m, node_limit)
+        return _phi_exact_rows(rows, edge_neighbourhoods(graph), node_limit)
 
     rows_g = maximal_matching_masks(g, budget)
     rows_h = maximal_matching_masks(h, budget)

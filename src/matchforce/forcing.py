@@ -16,6 +16,7 @@ from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    edge_neighbourhoods,
     edges_to_mask,
     maximal_matching_masks,
 )
@@ -106,6 +107,43 @@ def _splits_some_class(col: int, classes: list[int]) -> bool:
     return False
 
 
+def _swap_partners(rows: list[int], near: list[int]) -> list[int]:
+    """nbr[e]: the edges f such that swapping e for f in some maximal matching
+    gives another one. The two matchings differ in e and f alone, so every
+    forcing set holds e or f. Only an edge sharing a vertex with e can take
+    its place, so f is looked for in ``near[e]``."""
+    nbr = [0] * len(near)
+    present = set(rows)
+    for row in rows:
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = low.bit_length() - 1
+            base = row ^ low
+            others = near[e] & ~row
+            while others:
+                f = others & -others
+                others ^= f
+                if base | f in present:
+                    nbr[e] |= f
+    return nbr
+
+
+def _swap_matching_size(free: int, nbr: list[int]) -> int:
+    """Size of a greedy matching of the swap graph on the ``free`` edges.
+    Its swap pairs are disjoint and each needs an edge of its own."""
+    size = 0
+    while free:
+        low = free & -free
+        free ^= low
+        partners = nbr[low.bit_length() - 1] & free
+        if partners:
+            free ^= partners & -partners
+            size += 1
+    return size
+
+
 def _greedy_columns(cols: list[int], t: int) -> list[int]:
     """Pick the edge resolving the most still-identical row pairs until all
     t rows are distinct; ties go to the lowest edge index. A chosen edge
@@ -162,9 +200,17 @@ def phi_exact(
     returned with ``optimal=False``; it is still a verified forcing set.
     Graphs with more than ``DEFAULT_MAX_EDGES`` edges are refused before
     enumeration.
+
+    A second bound comes from the swap graph: two maximal matchings that
+    differ in exactly the edges e and f need e or f in every forcing set. An
+    edge the search has passed over without choosing it is out for good, so
+    its swap partners are forced; a branch that has passed over a forced
+    edge dies. The rest of the swap graph adds a greedy matching, one edge
+    per pair. ``lower_bound`` is the larger of ceil(log2 Ψ) and this bound
+    at the root.
     """
     _check_edge_cap(g.m)
-    return _phi_exact_rows(maximal_matching_masks(g, budget), g.m, node_limit)
+    return _phi_exact_rows(maximal_matching_masks(g, budget), edge_neighbourhoods(g), node_limit)
 
 
 def _check_edge_cap(m: int) -> None:
@@ -174,10 +220,14 @@ def _check_edge_cap(m: int) -> None:
         )
 
 
-def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
-    """:func:`phi_exact` on the enumerated maximal matchings of an m-edge graph."""
+def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> ForcingResult:
+    """:func:`phi_exact` on the enumerated maximal matchings of a graph whose
+    edges have the closed neighbourhoods ``near``."""
     t = len(rows)
+    m = len(near)
     cols = _column_masks(rows, m)
+    nbr = _swap_partners(rows, near)
+    full = (1 << m) - 1
     greedy = _greedy_columns(cols, t)
     greedy_size = len(greedy)
 
@@ -188,33 +238,47 @@ def _phi_exact_rows(rows: list[int], m: int, node_limit: int) -> ForcingResult:
     limit = greedy_size + 1
     nodes = 0
     optimal = True
-    # Frames: next edge to decide, unresolved row classes, chosen edges. The
-    # bound is tested on pop, since ``limit`` can tighten while a frame waits.
-    stack = [(0, [(1 << t) - 1] if t > 1 else [], ())]
+    # Frames: next edge to decide, unresolved row classes, an upper bound on
+    # their class bound, chosen edges and their mask, and the swap partners of
+    # the edges passed over. Bounds are tested on pop, since ``limit`` can
+    # tighten while a frame waits. Refining never raises the class bound, so
+    # a frame computes its own only when the inherited one could prune it.
+    stack = [(0, [(1 << t) - 1] if t > 1 else [], _log2_ceil(t), (), 0, 0)]
     while stack:
-        i, classes, chosen = stack.pop()
-        if len(chosen) + _class_lower_bound(classes) >= limit:
-            continue
+        i, classes, class_bound, chosen, chosen_mask, forced = stack.pop()
+        if len(chosen) + class_bound >= limit:
+            class_bound = _class_lower_bound(classes)
+            if len(chosen) + class_bound >= limit:
+                continue
         if not classes:
             best_set = chosen
             limit = len(chosen)
             continue
         j = i
         while j < m and not _splits_some_class(cols[j], classes):
+            forced |= nbr[j]
             j += 1
         if j == m:
+            continue
+        # Every edge below j that is not chosen is out for good.
+        if forced & ((1 << j) - 1) & ~chosen_mask:
+            continue
+        undecided = full >> j << j
+        free = undecided & ~forced
+        if len(chosen) + (forced & undecided).bit_count() + _swap_matching_size(free, nbr) >= limit:
             continue
         nodes += 1
         if nodes > node_limit:
             optimal = False
             break
-        stack.append((j + 1, classes, chosen))
-        stack.append((j + 1, _refine(classes, cols[j]), chosen + (j,)))
+        stack.append((j + 1, classes, class_bound, chosen, chosen_mask, forced | nbr[j]))
+        refined = _refine(classes, cols[j])
+        stack.append((j + 1, refined, class_bound, chosen + (j,), chosen_mask | 1 << j, forced))
     return ForcingResult(
         edges=best_set,
         size=len(best_set),
         optimal=optimal,
-        lower_bound=_log2_ceil(t),
+        lower_bound=max(_log2_ceil(t), _swap_matching_size(full, nbr)),
         greedy_size=greedy_size,
         nodes=nodes,
     )

@@ -88,6 +88,16 @@ def is_maximal_matching(g: Graph, edges: Iterable[int]) -> bool:
     return sat is not None and all(sat & ((1 << u) | (1 << v)) for u, v in g.edges)
 
 
+def edge_neighbourhoods(g: Graph) -> list[int]:
+    """near[e]: the edges sharing a vertex with edge e, e included, as a
+    bitmask. These are the closed neighbourhoods of the line graph."""
+    incident: dict[int, int] = {}
+    for e, (u, v) in enumerate(g.edges):
+        incident[u] = incident.get(u, 0) | 1 << e
+        incident[v] = incident.get(v, 0) | 1 << e
+    return [incident[u] | incident[v] for u, v in g.edges]
+
+
 def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     """All maximal matchings as bitmasks, in lexicographic order.
 
@@ -99,12 +109,7 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = g.m
-    # near[e]: the edges sharing a vertex with e, e included.
-    incident: dict[int, int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        incident[u] = incident.get(u, 0) | 1 << e
-        incident[v] = incident.get(v, 0) | 1 << e
-    near = [incident[u] | incident[v] for u, v in g.edges]
+    near = edge_neighbourhoods(g)
     # dead[j]: the edges whose neighbours all lie below j. Once the scan
     # reaches j, an excluded-but-still-addable one can never be blocked again.
     dead = [0] * (m + 1)
@@ -173,5 +178,8 @@ def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMat
     """
     definitional = 2 * summarize_matchings(g, budget).sat == g.n
     allowed = {COMPLETE_EVEN, BALANCED_COMPLETE_BIPARTITE}
-    structural = all(tag in allowed for tag in recognize_structure(g))
+    # A vertex with no edge is a component of neither kind, and skipping the
+    # recognizer then keeps the cost independent of the declared vertex count.
+    covered = len({v for edge in g.edges for v in edge})
+    structural = covered == g.n and all(tag in allowed for tag in recognize_structure(g))
     return RandomlyMatchableVerdict(definitional=definitional, structural=structural)

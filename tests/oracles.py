@@ -92,6 +92,16 @@ def projections_distinct(rows: list[int], cols_mask: int) -> bool:
     return len({row & cols_mask for row in rows}) == len(rows)
 
 
+def brute_swap_pairs(rows: list[int]) -> list[tuple[int, int]]:
+    """Every pair (a, b), a < b, of row indices whose rows differ in exactly
+    two edges, found by comparing all pairs."""
+    return [
+        (a, b)
+        for a, b in combinations(range(len(rows)), 2)
+        if (rows[a] ^ rows[b]).bit_count() == 2
+    ]
+
+
 def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     """Smallest forcing set by exhaustive search; first hit in lexicographic
     subset order, which is also the lexicographically smallest witness."""

@@ -161,6 +161,9 @@ UPPER_SUM_FAILURES = [
     ("K1oC4", complete(1), cycle(4), 6, 5),
     ("K1oK2,2", complete(1), complete_bipartite(2, 2), 6, 5),
     ("K2oC4", complete(2), cycle(4), 12, 10),
+    ("C4oK2", cycle(4), complete(2), 10, 9),
+    ("K3oC4", complete(3), cycle(4), 20, 17),
+    ("P3oC4", path(3), cycle(4), 19, 16),
 ]
 
 
@@ -174,5 +177,5 @@ def test_upper_sum_counterexamples(name, g, h, phi, upper_sum):
     assert report.verdicts["upper_complement"] and report.upper_complement == phi
     assert report.verdicts["lower_randomly"]
     cg = corona_product(g, h).graph
-    if cg.m <= 12:  # the subset oracle is fast up to here; K2oC4 has 17 edges
+    if cg.m <= 12:  # the subset oracle is fast up to here; the other pairs have 16 to 27 edges
         assert brute_min_forcing(cg, maximal_matching_masks(cg))[0] == phi

@@ -295,7 +295,9 @@ def test_each_graph_is_enumerated_once(enumerated, capsys, k3_file):
 
 
 @pytest.mark.parametrize(
-    "argv", [["psi"], ["phi", "--json"], ["export-lp"]], ids=["psi", "phi-json", "export-lp"]
+    "argv",
+    [["psi"], ["phi", "--json"], ["export-lp"], ["randomly-matchable"]],
+    ids=["psi", "phi-json", "export-lp", "randomly-matchable"],
 )
 def test_declared_vertex_count_costs_no_memory(capsys, tmp_path, argv):
     # Only the one edge should cost memory, not the 200,000 declared vertices.

@@ -7,11 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
-from matchforce.forcing import is_global_forcing_set, phi_exact, phi_greedy
+from matchforce.forcing import _swap_partners, is_global_forcing_set, phi_exact, phi_greedy
 from matchforce.graph import complete, complete_bipartite, cycle, empty, path
-from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
+from matchforce.matchings import (
+    BudgetExceededError,
+    edge_neighbourhoods,
+    maximal_matching_masks,
+    summarize_matchings,
+)
 
-from oracles import brute_maximal_masks, brute_min_forcing, projections_distinct, small_instances
+from oracles import (
+    brute_maximal_masks,
+    brute_min_forcing,
+    brute_swap_pairs,
+    projections_distinct,
+    small_instances,
+)
+from test_matchings import small_graphs
 
 
 def y_graph():
@@ -162,22 +174,71 @@ def test_exact_equals_exhaustive_search(name, graph):
     assert is_global_forcing_set(graph, result.edges)
 
 
-@pytest.mark.parametrize(
-    "node_limit,edges",
-    [
-        (30570, (0, 2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18)),  # the greedy set
-        (30571, (0, 1, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18)),  # the first set the search finds itself
-    ],
-)
-def test_node_limit_pins_visiting_order_and_node_count(node_limit, edges):
-    # On C5oK2 the search finds its first set of the greedy size at node
-    # 30,571, so one more node of budget changes the answer. Any change in the
-    # visiting order or in where nodes are counted moves that point.
-    g = corona_product(cycle(5), complete(2)).graph
+@pytest.mark.parametrize("node_limit,optimal", [(62188, False), (62189, True)])
+def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
+    # On C4oP3 the greedy set (0, ..., 11) is already optimal, and the proof
+    # takes 62,189 nodes, so one node less of budget leaves it unproven. Any
+    # change in the visiting order, in the bounds or in where nodes are
+    # counted moves that point.
+    g = corona_product(cycle(4), path(3)).graph
     result = phi_exact(g, node_limit=node_limit)
-    assert (result.edges, result.size, result.optimal) == (edges, 13, False)
-    assert result.nodes == node_limit + 1
-    assert result.greedy_size == 13
+    assert (result.edges, result.size, result.optimal) == (tuple(range(12)), 12, optimal)
+    assert result.nodes == 62189
+    assert result.greedy_size == 12
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_swap_graph_and_bound_equal_the_oracles(g):
+    rows = maximal_matching_masks(g)
+    expected = [0] * g.m
+    for a, b in brute_swap_pairs(rows):
+        e, f = (k for k in range(g.m) if (rows[a] ^ rows[b]) >> k & 1)
+        expected[e] |= 1 << f
+        expected[f] |= 1 << e
+    assert _swap_partners(rows, edge_neighbourhoods(g)) == expected
+    result = phi_exact(g)
+    assert result.lower_bound <= result.size
+    if g.m <= 8:
+        size, witness = brute_min_forcing(g, rows)
+        assert (result.edges, result.size, result.optimal) == (witness, size, True)
+
+
+# phi and the greedy size. On C6oK2 the greedy set has 16 edges and the
+# optimum 15, so there the search has to improve on its seed.
+HIGHS_INSTANCES = [
+    ("C4oK2", cycle(4), complete(2), 10, 10),
+    ("K3oP3", complete(3), path(3), 9, 9),
+    ("C5oK2", cycle(5), complete(2), 13, 13),
+    ("K2oK4", complete(2), complete(4), 16, 16),
+    ("C6oK2", cycle(6), complete(2), 15, 16),
+]
+
+
+@pytest.mark.parametrize(
+    "name,g,h,phi,greedy", HIGHS_INSTANCES, ids=[c[0] for c in HIGHS_INSTANCES]
+)
+def test_exact_equals_highs(name, g, h, phi, greedy):
+    np = pytest.importorskip("numpy")
+    opt = pytest.importorskip("scipy.optimize")
+    graph = corona_product(g, h).graph
+    rows = maximal_matching_masks(graph)
+    # One covering row per distinct symmetric difference of two matchings:
+    # a forcing set must hold an edge of each.
+    supports = sorted({a ^ b for a, b in combinations(rows, 2)})
+    matrix = np.array([[s >> e & 1 for e in range(graph.m)] for s in supports])
+    solved = opt.milp(
+        c=np.ones(graph.m),
+        constraints=opt.LinearConstraint(matrix, lb=1, ub=np.inf),
+        integrality=np.ones(graph.m),
+        bounds=opt.Bounds(0, 1),
+    )
+    assert solved.success
+    result = phi_exact(graph)
+    assert round(solved.fun) == result.size == phi
+    assert result.optimal
+    assert result.greedy_size == greedy
+    assert result.lower_bound <= phi
 
 
 @pytest.mark.parametrize("name,graph", EXACT_INSTANCES, ids=EXACT_IDS)
