@@ -2,11 +2,11 @@
 
 Every formula here is checked against exact enumeration elsewhere in the test
 suite. A failed verdict is reported, not hidden: :func:`verify_bounds` finds
-``upper_sum`` below the exact forcing number on K1oK4 (exact 8, bound 6),
-K1oC4 and K1oK2,2 (exact 6, bound 5), K2oC4 and K2oK2,2 (exact 12, bound
-10), C4oK2 (exact 10, bound 9), K3oC4 (exact 20, bound 17) and P3oC4 (exact
-19, bound 16). Whether the formula misses a hypothesis of the paper's theorem
-or was transcribed wrongly stays open until the theorem's text is at hand.
+``upper_sum`` below the exact forcing number on the pairs listed in
+``tests/test_bounds.py::UPPER_SUM_FAILURES`` (K2,2 is C4 relabelled, so each
+C4 pair has a K2,2 twin). Whether the formula misses a hypothesis of the
+paper's theorem or was transcribed wrongly stays open until the theorem's
+text is at hand.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from dataclasses import dataclass, fields
 
 from .corona import corona_product
 from .forcing import (
+    DEFAULT_MAX_EDGES,
     DEFAULT_NODE_LIMIT,
     ForcingResult,
-    _check_edge_cap,
     _phi_exact_rows,
 )
 from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    MatchingSummary,
     _summarize_masks,
     edge_neighbourhoods,
     maximal_matching_masks,
@@ -118,9 +119,9 @@ class BoundsReport:
     Gap signs are uniform: bound minus exact for upper bounds, exact minus
     bound for lower bounds, so nonnegative always means the theorem held.
     ``lower_randomly`` is present exactly when the second factor passed the
-    definitional randomly-matchable check. The exact corona fields are None
-    when the instance exceeded the enumeration or search budget; verdicts then
-    cover only bound-versus-bound consistency.
+    definitional randomly-matchable check. ``exact_nu`` and ``exact_psi`` are
+    None past the enumeration budget, and ``exact_phi`` also past the 40-edge
+    cap or the default node limit; verdicts skip the checks that need them.
     """
 
     g_name: str
@@ -163,30 +164,45 @@ class BoundsReport:
 _DICT_KEYS = {"g_name": "g", "h_name": "h"}
 
 
+def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, ForcingResult | None]:
+    """Enumerate ``graph`` once for its summary and its exact search, which
+    is None past ``DEFAULT_MAX_EDGES`` and unproven past ``DEFAULT_NODE_LIMIT``."""
+    rows = maximal_matching_masks(graph, budget)
+    summary = _summarize_masks(rows, graph.n)
+    if graph.m > DEFAULT_MAX_EDGES:
+        return summary, None
+    return summary, _phi_exact_rows(rows, edge_neighbourhoods(graph), DEFAULT_NODE_LIMIT)
+
+
+def _exact_factor(graph: Graph, name: str, budget: int) -> tuple[MatchingSummary, ForcingResult]:
+    """:func:`_exact` for a factor, whose φ every bound needs proven."""
+    summary, result = _exact(graph, budget)
+    if result is None:
+        raise BudgetExceededError(
+            f"graph has {graph.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
+        )
+    if not result.optimal:
+        raise BudgetExceededError(
+            f"factor {name}: exact search hit the node limit of {DEFAULT_NODE_LIMIT}"
+        )
+    return summary, result
+
+
 def verify_bounds(
     g: Graph,
     h: Graph,
     g_name: str = "G",
     h_name: str = "H",
     budget: int = DEFAULT_BUDGET,
-    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> BoundsReport:
     """Build the corona, compute everything exactly, and grade every bound.
 
-    Factor-level computations must fit the budget; if the corona itself does
-    not, the exact fields are left unset and only internal consistency of the
-    bounds is judged.
+    Each factor must fit the budget and have its φ proven. Where the corona
+    does not fit, its exact fields are left unset and only internal
+    consistency of the bounds is judged.
     """
-    def phi_of(graph: Graph, rows: list[int]) -> ForcingResult:
-        _check_edge_cap(graph.m)
-        return _phi_exact_rows(rows, edge_neighbourhoods(graph), node_limit)
-
-    rows_g = maximal_matching_masks(g, budget)
-    rows_h = maximal_matching_masks(h, budget)
-    sum_g = _summarize_masks(rows_g, g.n)
-    sum_h = _summarize_masks(rows_h, h.n)
-    res_g = phi_of(g, rows_g)
-    res_h = phi_of(h, rows_h)
+    sum_g, res_g = _exact_factor(g, g_name, budget)
+    sum_h, res_h = _exact_factor(h, h_name, budget)
     randomly_h = 2 * sum_h.sat == h.n
 
     cg = corona_product(g, h)
@@ -205,12 +221,10 @@ def verify_bounds(
     exact_psi: int | None = None
     exact_phi: int | None = None
     try:
-        rows_corona = maximal_matching_masks(cg.graph, budget)
-        corona_summary = _summarize_masks(rows_corona, cg.graph.n)
+        corona_summary, corona_phi = _exact(cg.graph, budget)
         exact_nu = corona_summary.nu
         exact_psi = corona_summary.psi
-        corona_phi = phi_of(cg.graph, rows_corona)
-        if corona_phi.optimal:
+        if corona_phi is not None and corona_phi.optimal:
             exact_phi = corona_phi.size
     except BudgetExceededError:
         pass
@@ -259,7 +273,6 @@ def sweep_reports(
     factors: list[tuple[str, Graph]],
     max_corona_order: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> list[BoundsReport]:
     """Verify every ordered factor pair whose corona order fits the cap."""
     reports = []
@@ -268,7 +281,5 @@ def sweep_reports(
             order = g.n * (1 + h.n)
             if max_corona_order is not None and order > max_corona_order:
                 continue
-            reports.append(
-                verify_bounds(g, h, g_name, h_name, budget=budget, node_limit=node_limit)
-            )
+            reports.append(verify_bounds(g, h, g_name, h_name, budget=budget))
     return reports

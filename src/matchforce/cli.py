@@ -136,9 +136,7 @@ def _cmd_import_solution(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = _read_graph(args.g)
     h = _read_graph(args.h)
-    report = bounds_mod.verify_bounds(
-        g, h, budget=args.budget, node_limit=args.node_limit
-    )
+    report = bounds_mod.verify_bounds(g, h, budget=args.budget)
     _emit(json.dumps(report.to_dict()) + "\n", args.out)
     return 0
 
@@ -148,12 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name in args.families:
         family = parse_family_name(name)
         factors.append((family_label(family), generate(family)))
-    reports = bounds_mod.sweep_reports(
-        factors,
-        max_corona_order=args.max_n,
-        budget=args.budget,
-        node_limit=args.node_limit,
-    )
+    reports = bounds_mod.sweep_reports(factors, max_corona_order=args.max_n, budget=args.budget)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     # The header flattens a record whose values are all empty.
@@ -219,15 +212,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_node_limit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--node-limit",
-        type=int,
-        default=forcing.DEFAULT_NODE_LIMIT,
-        help="branch-and-bound node cap (default %(default)s)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchforce",
@@ -269,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "greedy"], default="exact")
     p.add_argument("--json", action="store_true", help="emit the full result object")
     _add_common(p)
-    _add_node_limit(p)
+    p.add_argument(
+        "--node-limit",
+        type=int,
+        default=forcing.DEFAULT_NODE_LIMIT,
+        help="branch-and-bound node cap (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("verify-forcing", help="check whether an edge set is a global forcing set")
@@ -294,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="edge-list file of the spine factor")
     p.add_argument("--h", required=True, help="edge-list file of the copied factor")
     _add_common(p)
-    _add_node_limit(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="verify bounds over all pairs of named families, as CSV")
     p.add_argument("--families", nargs="+", required=True, help="family names such as K1 K2 P3 C4 K2,2")
     p.add_argument("--max-n", type=int, default=None, help="skip pairs whose corona has more vertices")
     _add_common(p)
-    _add_node_limit(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("randomly-matchable", help="definitional and structural verdicts")

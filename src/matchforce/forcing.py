@@ -32,7 +32,9 @@ class ForcingResult:
 
     ``optimal`` is set only when the exact search ran to completion, in which
     case ``size`` is the global forcing number and ``edges`` is the
-    lexicographically smallest optimal set.
+    lexicographically smallest optimal set. ``lower_bound`` is ceil(log2 Ψ)
+    from :func:`phi_greedy`; :func:`phi_exact` reports the larger of that and
+    the swap-graph bound at the root.
     """
 
     edges: tuple[int, ...]
@@ -209,15 +211,11 @@ def phi_exact(
     per pair. ``lower_bound`` is the larger of ceil(log2 Ψ) and this bound
     at the root.
     """
-    _check_edge_cap(g.m)
-    return _phi_exact_rows(maximal_matching_masks(g, budget), edge_neighbourhoods(g), node_limit)
-
-
-def _check_edge_cap(m: int) -> None:
-    if m > DEFAULT_MAX_EDGES:
+    if g.m > DEFAULT_MAX_EDGES:
         raise BudgetExceededError(
-            f"graph has {m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
+            f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
+    return _phi_exact_rows(maximal_matching_masks(g, budget), edge_neighbourhoods(g), node_limit)
 
 
 def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> ForcingResult:

@@ -115,6 +115,54 @@ def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("rows are distinct, so the full edge set always works")
 
 
+def corona_psi(g: Graph, h: Graph) -> int:
+    """Ψ(G∘H) from the factors, without building or enumerating the corona.
+
+    A maximal matching of G∘H restricts to some matching M of G. Each spine
+    vertex M covers needs a maximal matching of its copy of H: Ψ(H) choices.
+    Each spine vertex v in the set U that M leaves free either takes a join
+    edge to copy vertex u, with H − u then maximally matched (a = Σ_u Ψ(H − u)
+    choices), or stays free with its copy perfectly matched (b choices, the
+    perfect matchings of H). The free ones form an independent set I of G, so
+
+        Ψ(G∘H) = Σ_M Ψ(H)^(2|M|) · Σ_{I ⊆ U independent} a^(|U|−|I|) · b^|I|.
+
+    Factor counts come from :func:`brute_maximal_masks` and the matchings of
+    G from all edge subsets, so nothing is shared with the enumerator.
+    """
+    h_rows = brute_maximal_masks(h)
+    psi_h = len(h_rows)
+    # H − u keeps u as an isolated vertex, which changes no matching.
+    a = sum(
+        len(brute_maximal_masks(Graph(h.n, tuple(e for e in h.edges if u not in e))))
+        for u in range(h.n)
+    )
+    b = sum(1 for row in h_rows if 2 * row.bit_count() == h.n)
+    adjacent = [0] * g.n
+    for u, v in g.edges:
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    total = 0
+    for subset in range(1 << g.m):
+        covered = 0
+        for i in range(g.m):
+            if subset >> i & 1:
+                u, v = g.edges[i]
+                if covered >> u & 1 or covered >> v & 1:
+                    break
+                covered |= 1 << u | 1 << v
+        else:
+            free = [v for v in range(g.n) if not covered >> v & 1]
+            inner = 0
+            for pick in range(1 << len(free)):
+                chosen = [v for i, v in enumerate(free) if pick >> i & 1]
+                mask = sum(1 << v for v in chosen)
+                if not any(adjacent[v] & mask for v in chosen):
+                    inner += a ** (len(free) - len(chosen)) * b ** len(chosen)
+            total += psi_h ** (2 * subset.bit_count()) * inner
+    return total
+
+
 def small_instances(max_edges: int = 8) -> list[tuple[str, Graph]]:
     """Generator-family graphs and small coronas with at most max_edges edges."""
     named: list[tuple[str, Graph]] = []

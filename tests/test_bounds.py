@@ -17,7 +17,7 @@ from matchforce.bounds import (
 )
 from matchforce.corona import corona_product
 from matchforce.graph import complete, complete_bipartite, cycle, path
-from matchforce.matchings import maximal_matching_masks, summarize_matchings
+from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
 from oracles import brute_min_forcing
 
@@ -114,6 +114,13 @@ class TestVerifyBounds:
         assert report.exact_phi is None and report.exact_nu is None
         assert report.verdicts == {"lower_le_upper": True}
 
+    def test_factor_phi_must_be_proven(self, monkeypatch):
+        # 100 nodes leave C6oK2 at its greedy 16 edges; its φ is 15. An
+        # unproven factor value would leak into upper_sum, so it is an error.
+        monkeypatch.setattr("matchforce.bounds.DEFAULT_NODE_LIMIT", 100)
+        with pytest.raises(BudgetExceededError, match="factor H"):
+            verify_bounds(complete(1), corona_product(cycle(6), complete(2)).graph)
+
     def test_report_serializes(self):
         report = verify_bounds(complete(2), complete(2))
         data = report.to_dict()
@@ -153,9 +160,12 @@ def test_sweep_covers_all_pairs_and_passes():
     }
 
 
-# Pairs on which ``upper_sum`` falls below the exact forcing number. The
-# formula is left as implemented until the paper's theorem text settles
-# whether it lacks a hypothesis; these pin the failures so none goes unseen.
+# Pairs on which ``upper_sum`` falls below the exact forcing number, the one
+# list of them that the docs point to. The formula is left as implemented
+# until the paper's theorem text settles whether it lacks a hypothesis; these
+# pin the failures so none goes unseen. K2oK4's φ is also checked with HiGHS
+# in test_forcing.py; K3oK4's and P3oK4's come from the exact search alone.
+# C4oC4 (exact 26, bound 21) fails too but takes about 8 s, so it is left out.
 UPPER_SUM_FAILURES = [
     ("K1oK4", complete(1), complete(4), 8, 6),
     ("K1oC4", complete(1), cycle(4), 6, 5),
@@ -164,6 +174,9 @@ UPPER_SUM_FAILURES = [
     ("C4oK2", cycle(4), complete(2), 10, 9),
     ("K3oC4", complete(3), cycle(4), 20, 17),
     ("P3oC4", path(3), cycle(4), 19, 16),
+    ("K2oK4", complete(2), complete(4), 16, 12),
+    ("K3oK4", complete(3), complete(4), 26, 20),
+    ("P3oK4", path(3), complete(4), 25, 19),
 ]
 
 
@@ -177,5 +190,5 @@ def test_upper_sum_counterexamples(name, g, h, phi, upper_sum):
     assert report.verdicts["upper_complement"] and report.upper_complement == phi
     assert report.verdicts["lower_randomly"]
     cg = corona_product(g, h).graph
-    if cg.m <= 12:  # the subset oracle is fast up to here; the other pairs have 16 to 27 edges
+    if cg.m <= 12:  # the subset oracle is fast up to here; the other pairs have 16 to 33 edges
         assert brute_min_forcing(cg, maximal_matching_masks(cg))[0] == phi

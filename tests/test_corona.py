@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from matchforce.bounds import psi_path_corona_triangle
 from matchforce.corona import corona_product, partition_to_json
-from matchforce.graph import Graph, GraphError, complete, cycle, path
+from matchforce.graph import Graph, GraphError, complete, complete_bipartite, cycle, path, star
+from matchforce.matchings import summarize_matchings
 
-from oracles import degrees
+from oracles import corona_psi, degrees
 
 
 @pytest.fixture
@@ -124,3 +126,35 @@ def test_partition_sidecar_round_trip(y_graph):
     assert parts["EG"] == list(y_graph.part_eg)
     assert parts["EH"] == [list(cell) for cell in y_graph.part_eh]
     assert parts["EGH"] == [list(cell) for cell in y_graph.part_egh]
+
+
+PSI_FACTORS = [
+    ("K1", complete(1)),
+    ("K2", complete(2)),
+    ("K3", complete(3)),
+    ("P3", path(3)),
+    ("P4", path(4)),
+    ("C4", cycle(4)),
+    ("K4", complete(4)),
+    ("K2,2", complete_bipartite(2, 2)),
+    ("C5", cycle(5)),
+    ("S4", star(4)),
+]
+# Every ordered pair whose corona has at most 30 edges: 59 of the 100.
+PSI_PAIRS = [
+    (f"{g_name}o{h_name}", g, h)
+    for g_name, g in PSI_FACTORS
+    for h_name, h in PSI_FACTORS
+    if g.m + g.n * (h.m + h.n) <= 30
+]
+
+
+@pytest.mark.parametrize("name,g,h", PSI_PAIRS, ids=[p[0] for p in PSI_PAIRS])
+def test_corona_psi_oracle_equals_enumeration(name, g, h):
+    assert corona_psi(g, h) == summarize_matchings(corona_product(g, h).graph).psi
+
+
+def test_corona_psi_oracle_reaches_past_enumeration():
+    assert len(PSI_PAIRS) == 59
+    # P12oK3 has 83 edges; its Ψ is far beyond enumeration.
+    assert corona_psi(path(12), complete(3)) == psi_path_corona_triangle(11) == 123_825_753

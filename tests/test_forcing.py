@@ -87,6 +87,8 @@ class TestBounds:
         assert phi_greedy(y_graph()).lower_bound == 4
         assert phi_greedy(complete(3)).lower_bound == 2
         assert phi_greedy(complete(2)).lower_bound == 0
+        # phi_greedy reports ceil(log2 Ψ) alone, phi_exact also the swap-graph bound.
+        assert (phi_greedy(complete(5)).lower_bound, phi_exact(complete(5)).lower_bound) == (4, 5)
 
     def test_complement_upper_bound(self):
         assert _complement_upper_bound(y_graph()) == 4  # 7 - 3
