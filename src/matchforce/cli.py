@@ -75,7 +75,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
     masks = matchings.maximal_matching_masks(g, args.budget)
     summary = matchings._summarize_masks(masks, g.n)
-    value = {"psi": summary.psi, "nu": summary.nu, "sat": summary.sat}[args.stat]
+    value = getattr(summary, args.stat)
     if args.json:
         listed = [list(matchings.mask_to_edges(mask)) for mask in masks]
         payload = {args.stat: value, "matchings": listed}
@@ -187,12 +187,11 @@ def _csv_cell(value: object) -> str:
 def _cmd_randomly_matchable(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
     verdict = matchings.is_randomly_matchable(g, args.budget)
-    payload = {"definitional": verdict.definitional, "structural": verdict.structural}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps(verdict._asdict()) + "\n", args.out)
     return 0
 
 
-def _budget(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -206,7 +205,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--out", default=None, help="write output to this path instead of stdout")
     parser.add_argument(
         "--budget",
-        type=_budget,
+        type=_positive_int,
         default=matchings.DEFAULT_BUDGET,
         help="maximal-matching enumeration cap (default %(default)s)",
     )
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--node-limit",
-        type=int,
+        type=_positive_int,
         default=forcing.DEFAULT_NODE_LIMIT,
         help="branch-and-bound node cap (default %(default)s)",
     )

@@ -32,33 +32,25 @@ def corona_product(g: Graph, h: Graph) -> CoronaGraph:
     """Build the corona of ``g`` and ``h``.
 
     Layout: spine vertex i keeps index i; vertex j of copy i gets index
-    ``n(g) + i*n(h) + j``. The second factor may be edgeless; the first needs
-    at least one vertex.
+    ``n(g) + i*n(h) + j``. Edge indices follow from the counts: copy i's
+    internal edges start at ``m(g) + i*m(h)`` and its join edges at
+    ``m(g) + n(g)*m(h) + i*n(h)``. The second factor may be edgeless; the
+    first needs at least one vertex.
     """
     if g.n < 1:
         raise GraphError("corona product needs a first factor with at least one vertex")
-    ng, nh = g.n, h.n
-    copies = tuple(tuple(ng + i * nh + j for j in range(nh)) for i in range(ng))
-
-    edges: list[tuple[int, int]] = list(g.edges)
-    part_eg = tuple(range(len(g.edges)))
-    part_eh: list[tuple[int, ...]] = []
-    for i in range(ng):
-        start = len(edges)
-        edges.extend((copies[i][u], copies[i][v]) for u, v in h.edges)
-        part_eh.append(tuple(range(start, len(edges))))
-    part_egh: list[tuple[int, ...]] = []
-    for i in range(ng):
-        start = len(edges)
-        edges.extend((i, copies[i][j]) for j in range(nh))
-        part_egh.append(tuple(range(start, len(edges))))
-
-    product = Graph(n=ng * (1 + nh), edges=tuple(edges))
+    ng, nh, mg, mh = g.n, h.n, g.m, h.m
+    edges = (
+        *g.edges,
+        *((ng + i * nh + u, ng + i * nh + v) for i in range(ng) for u, v in h.edges),
+        *((i, ng + i * nh + j) for i in range(ng) for j in range(nh)),
+    )
+    join = mg + ng * mh
     return CoronaGraph(
-        graph=product,
-        part_eg=part_eg,
-        part_eh=tuple(part_eh),
-        part_egh=tuple(part_egh),
+        graph=Graph(n=ng * (1 + nh), edges=edges),
+        part_eg=tuple(range(mg)),
+        part_eh=tuple(tuple(range(mg + i * mh, mg + (i + 1) * mh)) for i in range(ng)),
+        part_egh=tuple(tuple(range(join + i * nh, join + (i + 1) * nh)) for i in range(ng)),
     )
 
 

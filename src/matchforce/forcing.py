@@ -211,6 +211,8 @@ def phi_exact(
     per pair. ``lower_bound`` is the larger of ceil(log2 Ψ) and this bound
     at the root.
     """
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be >= 1, got {node_limit}")
     if g.m > DEFAULT_MAX_EDGES:
         raise BudgetExceededError(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"

@@ -211,29 +211,35 @@ def _neighbours(g: Graph) -> dict[int, list[int]]:
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, ordered by smallest member."""
-    return _components(g.n, _neighbours(g))
+    return tuple(comp for comp, _ in _components(g.n, _neighbours(g)))
 
 
-def _components(n: int, nbrs: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
+def _components(n: int, nbrs: dict[int, list[int]]) -> list[tuple[tuple[int, ...], bool]]:
+    """Each component's sorted vertices and whether it is bipartite, found by
+    one walk that 2-colours the component as it goes."""
+    side: dict[int, int] = {}
+    comps: list[tuple[tuple[int, ...], bool]] = []
     for start in range(n):
         if start not in nbrs:
-            comps.append((start,))
+            comps.append(((start,), True))
             continue
-        if start in seen:
+        if start in side:
             continue
         stack = [start]
-        seen.add(start)
+        side[start] = 0
         comp = [start]
+        bipartite = True
         while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            v = stack.pop()
+            for w in nbrs[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
                     comp.append(w)
                     stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+                elif side[w] == side[v]:
+                    bipartite = False
+        comps.append((tuple(sorted(comp)), bipartite))
+    return comps
 
 
 COMPLETE_EVEN = "complete_even"
@@ -250,33 +256,18 @@ def recognize_structure(g: Graph) -> tuple[str, ...]:
     K2 qualifies as both and reports ``complete_even``.
     """
     nbrs = _neighbours(g)
-    return tuple(_component_tag(nbrs, comp) for comp in _components(g.n, nbrs))
+    return tuple(_component_tag(nbrs, comp, bip) for comp, bip in _components(g.n, nbrs))
 
 
-def _component_tag(nbrs: dict[int, list[int]], comp: tuple[int, ...]) -> str:
+def _component_tag(nbrs: dict[int, list[int]], comp: tuple[int, ...], bipartite: bool) -> str:
     k = len(comp)
     if k < 2:
         return OTHER
     m_c = sum(len(nbrs[v]) for v in comp) // 2
     if k % 2 == 0 and m_c == k * (k - 1) // 2:
         return COMPLETE_EVEN
-    side = _bipartition(nbrs, comp)
-    if side is not None:
-        part_a = sum(1 for v in comp if side[v] == 0)
-        if 2 * part_a == k and m_c == part_a * part_a:
-            return BALANCED_COMPLETE_BIPARTITE
+    # A bipartite graph on k vertices has at most k^2/4 edges, and only
+    # K_{k/2,k/2} has that many.
+    if bipartite and 4 * m_c == k * k:
+        return BALANCED_COMPLETE_BIPARTITE
     return OTHER
-
-
-def _bipartition(nbrs: dict[int, list[int]], comp: tuple[int, ...]) -> dict[int, int] | None:
-    side = {comp[0]: 0}
-    stack = [comp[0]]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in side:
-                side[w] = 1 - side[v]
-                stack.append(w)
-            elif side[w] == side[v]:
-                return None
-    return side

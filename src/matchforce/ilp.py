@@ -38,7 +38,6 @@ class IlpConstraint:
 class IlpModel:
     num_edges: int
     constraints: tuple[IlpConstraint, ...]
-    deduped: bool
 
     def satisfied_by(self, edge_mask: int) -> bool:
         """Feasibility of a 0/1 assignment given as an edge bitmask."""
@@ -76,7 +75,7 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
         )
         for pairs in groups.values()
     )
-    return IlpModel(num_edges=g.m, constraints=constraints, deduped=dedup)
+    return IlpModel(num_edges=g.m, constraints=constraints)
 
 
 def export_lp(model: IlpModel) -> str:

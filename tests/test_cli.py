@@ -246,6 +246,8 @@ def test_usage_error_exit_code(capsys, k3_file):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["psi", "--in", k3_file, "--budget", "0"]) == 2
+    assert main(["phi", "--in", k3_file, "--node-limit", "0"]) == 2
+    assert main(["phi", "--in", k3_file, "--node-limit", "-1"]) == 2
     assert main(["gen", "--family", "path", "--n", "3", "--budget", "7"]) == 2
     # Only phi caps the search; bounds and sweep report proven values alone.
     assert main(["bounds", "--g", k3_file, "--h", k3_file, "--node-limit", "5"]) == 2

@@ -146,6 +146,10 @@ class TestExact:
         assert is_global_forcing_set(g, result.edges)
         assert result.size >= phi_exact(g).size
 
+    def test_node_limit_below_one_is_refused(self):
+        with pytest.raises(ValueError):
+            phi_exact(complete(3), node_limit=0)
+
     def test_edge_cap_is_enforced(self):
         # K10 has 45 edges, above the cap of 40.
         with pytest.raises(BudgetExceededError):

@@ -175,6 +175,18 @@ class TestRecognizeStructure:
             (complete(3), ("other",)),
             (complete_bipartite(2, 3), ("other",)),
             (cycle(4), ("balanced_complete_bipartite",)),  # C4 = K_{2,2}
+            # k vertices and k^2/4 edges, but not bipartite: the triangular
+            # prism and the paw (a triangle with a pendant edge).
+            (
+                Graph(
+                    n=6,
+                    edges=((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)),
+                ),
+                ("other",),
+            ),
+            (Graph(n=4, edges=((0, 1), (1, 2), (0, 2), (2, 3))), ("other",)),
+            (cycle(6), ("other",)),
+            (complete_bipartite(2, 4), ("other",)),
         ],
     )
     def test_single_component(self, graph, expected):
