@@ -18,6 +18,7 @@ from .matchings import (
     DEFAULT_BUDGET,
     edge_neighbourhoods,
     edges_to_mask,
+    mask_to_edges,
     maximal_matching_masks,
 )
 
@@ -239,20 +240,21 @@ def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> Forcin
     nodes = 0
     optimal = True
     # Frames: next edge to decide, unresolved row classes, an upper bound on
-    # their class bound, chosen edges and their mask, and the swap partners of
+    # their class bound, the mask of chosen edges, and the swap partners of
     # the edges passed over. Bounds are tested on pop, since ``limit`` can
     # tighten while a frame waits. Refining never raises the class bound, so
     # a frame computes its own only when the inherited one could prune it.
-    stack = [(0, [(1 << t) - 1] if t > 1 else [], _log2_ceil(t), (), 0, 0)]
+    stack = [(0, [(1 << t) - 1] if t > 1 else [], _log2_ceil(t), 0, 0)]
     while stack:
-        i, classes, class_bound, chosen, chosen_mask, forced = stack.pop()
-        if len(chosen) + class_bound >= limit:
+        i, classes, class_bound, chosen, forced = stack.pop()
+        size = chosen.bit_count()
+        if size + class_bound >= limit:
             class_bound = _class_lower_bound(classes)
-            if len(chosen) + class_bound >= limit:
+            if size + class_bound >= limit:
                 continue
         if not classes:
-            best_set = chosen
-            limit = len(chosen)
+            best_set = mask_to_edges(chosen)
+            limit = size
             continue
         j = i
         while j < m and not _splits_some_class(cols[j], classes):
@@ -261,19 +263,19 @@ def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> Forcin
         if j == m:
             continue
         # Every edge below j that is not chosen is out for good.
-        if forced & ((1 << j) - 1) & ~chosen_mask:
+        if forced & ((1 << j) - 1) & ~chosen:
             continue
         undecided = full >> j << j
         free = undecided & ~forced
-        if len(chosen) + (forced & undecided).bit_count() + _swap_matching_size(free, nbr) >= limit:
+        if size + (forced & undecided).bit_count() + _swap_matching_size(free, nbr) >= limit:
             continue
         nodes += 1
         if nodes > node_limit:
             optimal = False
             break
-        stack.append((j + 1, classes, class_bound, chosen, chosen_mask, forced | nbr[j]))
+        stack.append((j + 1, classes, class_bound, chosen, forced | nbr[j]))
         refined = _refine(classes, cols[j])
-        stack.append((j + 1, refined, class_bound, chosen + (j,), chosen_mask | 1 << j, forced))
+        stack.append((j + 1, refined, class_bound, chosen | 1 << j, forced))
     return ForcingResult(
         edges=best_set,
         size=len(best_set),

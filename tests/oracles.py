@@ -102,6 +102,29 @@ def brute_swap_pairs(rows: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def min_vertex_cover(rows: list[int]) -> int:
+    """Vertex cover number τ of the swap graph: the edges are the edge pairs
+    (e, f) in which two rows of :func:`brute_swap_pairs` differ, and a cover
+    is found by branching on the two ends of an uncovered pair."""
+    pairs = {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
+    best = len(pairs)
+
+    def branch(left: list[int], size: int) -> None:
+        nonlocal best
+        if size >= best:
+            return
+        if not left:
+            best = size
+            return
+        pair = left[0]
+        low = pair & -pair
+        for end in (low, pair ^ low):
+            branch([p for p in left if not p & end], size + 1)
+
+    branch(sorted(pairs), 0)
+    return best
+
+
 def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     """Smallest forcing set by exhaustive search; first hit in lexicographic
     subset order, which is also the lexicographically smallest witness."""

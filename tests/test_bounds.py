@@ -16,7 +16,7 @@ from matchforce.bounds import (
     verify_bounds,
 )
 from matchforce.corona import corona_product
-from matchforce.graph import complete, complete_bipartite, cycle, path
+from matchforce.graph import complete, complete_bipartite, cycle, path, star
 from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
 from oracles import brute_min_forcing
@@ -121,6 +121,24 @@ class TestVerifyBounds:
         with pytest.raises(BudgetExceededError, match="factor H"):
             verify_bounds(complete(1), corona_product(cycle(6), complete(2)).graph)
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_nu_prediction_off_either_way_fails(self, monkeypatch, offset):
+        # ν is an equality, unlike the bounds, so a prediction below the
+        # exact value fails as well as one above it.
+        monkeypatch.setattr(
+            "matchforce.bounds.corona_matching_number",
+            lambda *args: corona_matching_number(*args) + offset,
+        )
+        report = verify_bounds(complete(2), complete(2))
+        assert report.gaps["nu_formula"] == -offset
+        assert report.verdicts["nu_formula"] is False
+        assert not report.all_pass()
+
+    def test_factor_past_the_edge_cap_is_refused(self):
+        # star(42) has 41 edges, one past the exact search's cap.
+        with pytest.raises(BudgetExceededError, match="factor H"):
+            verify_bounds(complete(1), star(42))
+
     def test_report_serializes(self):
         report = verify_bounds(complete(2), complete(2))
         data = report.to_dict()
@@ -142,6 +160,35 @@ def test_matching_number_formula_on_wide_grid(g_name, g, h_name, h):
         summarize_matchings(g).nu, g.n, summary_h.nu, summary_h.has_perfect
     )
     assert predicted == summarize_matchings(corona_product(g, h).graph).nu
+
+
+NU_LONG_G = [(f"{name}{n}", make(n)) for name, make in (("P", path), ("C", cycle)) for n in (10, 17, 30)]
+NU_LONG_H = [
+    ("K1", complete(1)),
+    ("K2", complete(2)),
+    ("K3", complete(3)),
+    ("P3", path(3)),
+    ("P4", path(4)),
+    ("C4", cycle(4)),
+    ("K4", complete(4)),
+    ("C5", cycle(5)),
+    ("S4", star(4)),
+]
+
+
+@pytest.mark.parametrize("g_name,g", NU_LONG_G, ids=[n for n, _ in NU_LONG_G])
+@pytest.mark.parametrize("h_name,h", NU_LONG_H, ids=[n for n, _ in NU_LONG_H])
+def test_matching_number_formula_on_long_paths_and_cycles(g_name, g, h_name, h):
+    # Every ν here, of the factors and of the corona, comes from the blossom
+    # matching of networkx, which shares no code with the enumerator.
+    nx = pytest.importorskip("networkx")
+
+    def nu(graph):
+        return len(nx.max_weight_matching(nx.Graph(graph.edges), maxcardinality=True))
+
+    nu_h = nu(h)
+    predicted = corona_matching_number(nu(g), g.n, nu_h, 2 * nu_h == h.n)
+    assert predicted == nu(corona_product(g, h).graph)
 
 
 def test_sweep_covers_all_pairs_and_passes():

@@ -197,6 +197,14 @@ class TestBoundsAndSweep:
         assert payload["exact_phi"] == 4
         assert payload["all_pass"] is True
 
+    def test_factor_past_the_edge_cap_is_a_domain_error(self, capsys, tmp_path, k2_file):
+        target = tmp_path / "S42.el"
+        target.write_text(serialize_edge_list(star(42)))  # 41 edges
+        code, out, err = run(capsys, "bounds", "--g", k2_file, "--h", str(target))
+        assert (code, out) == (1, "")
+        assert err.isascii() and err.count("\n") == 1
+        assert err.startswith("error: factor H: ")
+
     def test_sweep_csv_and_exit_code(self, capsys):
         code, out, _ = run(capsys, "sweep", "--families", "K1", "K2", "--max-n", "9")
         assert code == 0

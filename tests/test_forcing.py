@@ -20,6 +20,7 @@ from oracles import (
     brute_maximal_masks,
     brute_min_forcing,
     brute_swap_pairs,
+    min_vertex_cover,
     projections_distinct,
     small_instances,
 )
@@ -208,6 +209,46 @@ def test_swap_graph_and_bound_equal_the_oracles(g):
     if g.m <= 8:
         size, witness = brute_min_forcing(g, rows)
         assert (result.edges, result.size, result.optimal) == (witness, size, True)
+
+
+SWAP_COVER_G = [
+    ("K1", complete(1)),
+    ("K2", complete(2)),
+    ("K3", complete(3)),
+    ("P3", path(3)),
+    ("C4", cycle(4)),
+    ("P4", path(4)),
+]
+SWAP_COVER_H = [
+    ("K2", complete(2)),
+    ("C4", cycle(4)),
+    ("K4", complete(4)),
+    ("K2,2", complete_bipartite(2, 2)),
+    ("P4", path(4)),
+]
+# The 16 pairs whose corona has at most 24 edges.
+SWAP_COVER_PAIRS = [
+    (f"{g_name}o{h_name}", corona_product(g, h).graph)
+    for g_name, g in SWAP_COVER_G
+    for h_name, h in SWAP_COVER_H
+    if g.m + g.n * (h.m + h.n) <= 24
+]
+
+
+@pytest.mark.parametrize("name,graph", SWAP_COVER_PAIRS, ids=[c[0] for c in SWAP_COVER_PAIRS])
+def test_phi_equals_swap_cover_when_h_has_a_perfect_matching(name, graph):
+    """φ(G∘H) == τ, the vertex cover number of the swap graph, on coronas
+    whose second factor has a perfect matching. This identity is observed
+    on every such corona measured, not claimed by the paper; τ <= φ always
+    holds, since every forcing set covers the swap graph."""
+    assert len(SWAP_COVER_PAIRS) == 16
+    assert min_vertex_cover(maximal_matching_masks(graph)) == phi_exact(graph).size
+
+
+def test_swap_cover_falls_short_without_a_perfect_matching():
+    # P3 has no perfect matching, and on K3oP3 the cover is a third of φ.
+    graph = corona_product(complete(3), path(3)).graph
+    assert (min_vertex_cover(maximal_matching_masks(graph)), phi_exact(graph).size) == (3, 9)
 
 
 # phi and the greedy size. On C6oK2 the greedy set has 16 edges and the
