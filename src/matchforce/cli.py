@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-limit",
         type=_positive_int,
         default=forcing.DEFAULT_NODE_LIMIT,
-        help="branch-and-bound node cap (default %(default)s)",
+        help="hitting-set node cap, summed over all rounds (default %(default)s)",
     )
     p.set_defaults(func=_cmd_phi)
 

@@ -1,16 +1,17 @@
 """Global forcing sets: verification, bounds, and the exact minimum search.
 
 A set of edges is a global forcing set when no two maximal matchings have the
-same intersection with it, i.e. when the chosen columns of the matchings/edges
-incidence matrix keep all rows pairwise distinct. Finding a minimum one is a
-minimum test cover, solved here by branch and bound over edge indices while
-refining the partition of rows into classes that are still indistinguishable.
+same intersection with it, i.e. when it meets the support r ⊕ r′ of every
+pair of maximal matchings r, r′. A minimum one is a minimum hitting set of
+the supports, the paper's ILP with one covering row per pair. It is solved
+as an implicit hitting set (Moreno-Centeno & Karp, Oper. Res. 2013), which
+adds a row only once an answer misses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 from .graph import Graph
 from .matchings import (
@@ -35,7 +36,8 @@ class ForcingResult:
     case ``size`` is the global forcing number and ``edges`` is the
     lexicographically smallest optimal set. ``lower_bound`` is ceil(log2 Ψ)
     from :func:`phi_greedy`; :func:`phi_exact` reports the larger of that and
-    the swap-graph bound at the root.
+    a greedy packing of disjoint swap pairs. ``nodes`` counts the branching
+    nodes of the hitting-set searches, summed over all rounds.
     """
 
     edges: tuple[int, ...]
@@ -59,13 +61,18 @@ class ForcingResult:
 def is_global_forcing_set(g: Graph, edges: Iterable[int], budget: int = DEFAULT_BUDGET) -> bool:
     """True iff all maximal matchings intersect the edge set differently."""
     mask = edges_to_mask(g, edges)
-    seen = set()
-    for row in maximal_matching_masks(g, budget):
-        proj = row & mask
-        if proj in seen:
-            return False
-        seen.add(proj)
-    return True
+    return next(_collisions(maximal_matching_masks(g, budget), mask), None) is None
+
+
+def _collisions(rows: list[int], mask: int) -> Iterator[int]:
+    """Project the distinct rows onto ``mask`` and yield r ⊕ r′ for each row
+    r′ whose projection an earlier row r already has. The edge set forces
+    exactly when nothing is yielded, and it misses every support yielded."""
+    first: dict[int, int] = {}
+    for row in rows:
+        earlier = first.setdefault(row & mask, row)
+        if earlier != row:
+            yield earlier ^ row
 
 
 def _log2_ceil(count: int) -> int:
@@ -83,68 +90,30 @@ def _column_masks(rows: list[int], m: int) -> list[int]:
     return cols
 
 
-def _class_lower_bound(classes: list[int]) -> int:
-    return _log2_ceil(max(map(int.bit_count, classes), default=0))
-
-
 def _refine(classes: list[int], col: int) -> list[int]:
-    out = []
-    for cls in classes:
-        inside = cls & col
-        if inside == 0 or inside == cls:
-            out.append(cls)
-            continue
-        rest = cls ^ inside
-        if inside.bit_count() >= 2:
-            out.append(inside)
-        if rest.bit_count() >= 2:
-            out.append(rest)
-    return out
+    """Split each class of rows by ``col``; keep the parts of two rows or more."""
+    return [part for cls in classes for part in (cls & col, cls & ~col) if part.bit_count() > 1]
 
 
-def _splits_some_class(col: int, classes: list[int]) -> bool:
-    for cls in classes:
-        inside = cls & col
-        if inside and inside != cls:
-            return True
-    return False
-
-
-def _swap_partners(rows: list[int], near: list[int]) -> list[int]:
-    """nbr[e]: the edges f such that swapping e for f in some maximal matching
-    gives another one. The two matchings differ in e and f alone, so every
-    forcing set holds e or f. Only an edge sharing a vertex with e can take
-    its place, so f is looked for in ``near[e]``."""
-    nbr = [0] * len(near)
+def _swap_pairs(rows: list[int], near: list[int]) -> set[int]:
+    """The swap pairs {e, f} as edge masks: swapping e for f in some maximal
+    matching gives another one. The two matchings differ in e and f alone,
+    so every forcing set holds e or f. Only an edge sharing a vertex with e
+    can take its place, so f is looked for in ``near[e]``."""
+    pairs = set()
     present = set(rows)
     for row in rows:
         rest = row
         while rest:
             low = rest & -rest
             rest ^= low
-            e = low.bit_length() - 1
-            base = row ^ low
-            others = near[e] & ~row
+            others = near[low.bit_length() - 1] & ~row
             while others:
                 f = others & -others
                 others ^= f
-                if base | f in present:
-                    nbr[e] |= f
-    return nbr
-
-
-def _swap_matching_size(free: int, nbr: list[int]) -> int:
-    """Size of a greedy matching of the swap graph on the ``free`` edges.
-    Its swap pairs are disjoint and each needs an edge of its own."""
-    size = 0
-    while free:
-        low = free & -free
-        free ^= low
-        partners = nbr[low.bit_length() - 1] & free
-        if partners:
-            free ^= partners & -partners
-            size += 1
-    return size
+                if row ^ low | f in present:
+                    pairs.add(low | f)
+    return pairs
 
 
 def _greedy_columns(cols: list[int], t: int) -> list[int]:
@@ -193,24 +162,18 @@ def phi_exact(
 ) -> ForcingResult:
     """Exact global forcing number with the lexicographically smallest witness.
 
-    One include-first depth-first branch and bound over edge indices, seeded
-    by the greedy upper bound. A branch dies once its chosen count plus
-    ceil(log2) of its largest unresolved row class exceeds the greedy size,
-    or, once the search has found a set of its own, reaches the best size
-    found. Include-first order visits sets of equal size in lexicographic
-    order, so the first set found of the final size is the lexicographically
-    smallest optimum. If the node limit is hit, the best set so far is
-    returned with ``optimal=False``; it is still a verified forcing set.
-    Graphs with more than ``DEFAULT_MAX_EDGES`` edges are refused before
-    enumeration.
+    Each round solves the supports known so far, at first the swap pairs,
+    one connected component at a time, by an include-first search over edge
+    indices that is seeded by the greedy set and pruned by a greedy packing
+    of disjoint unhit supports. It then adds the support of every pair of
+    matchings that the union of the answers leaves indistinguishable. When
+    there is none, the union forces, and as each round solved a relaxation,
+    it is the lexicographically smallest minimum forcing set.
 
-    A second bound comes from the swap graph: two maximal matchings that
-    differ in exactly the edges e and f need e or f in every forcing set. An
-    edge the search has passed over without choosing it is out for good, so
-    its swap partners are forced; a branch that has passed over a forced
-    edge dies. The rest of the swap graph adds a greedy matching, one edge
-    per pair. ``lower_bound`` is the larger of ceil(log2 Ψ) and this bound
-    at the root.
+    ``lower_bound`` is the larger of ceil(log2 Ψ) and the root packing. If
+    the node limit, counted over all rounds, is hit, the greedy set is
+    returned with ``optimal=False``. Graphs with more than
+    ``DEFAULT_MAX_EDGES`` edges are refused before enumeration.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1, got {node_limit}")
@@ -224,63 +187,98 @@ def phi_exact(
 def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> ForcingResult:
     """:func:`phi_exact` on the enumerated maximal matchings of a graph whose
     edges have the closed neighbourhoods ``near``."""
-    t = len(rows)
-    m = len(near)
-    cols = _column_masks(rows, m)
-    nbr = _swap_partners(rows, near)
-    full = (1 << m) - 1
-    greedy = _greedy_columns(cols, t)
-    greedy_size = len(greedy)
-
-    best_set = tuple(sorted(greedy))
-    # A branch lives while its count plus lower bound stays below ``limit``.
-    # Until the search finds a set itself, sets as large as the greedy one
-    # stay wanted: one of them may be lexicographically smaller.
-    limit = greedy_size + 1
+    greedy = tuple(sorted(_greedy_columns(_column_masks(rows, len(near)), len(rows))))
+    incumbent = sum(1 << e for e in greedy)
+    supports = _swap_pairs(rows, near)
+    # Packings of disjoint components add up.
+    packing = sum(_packing(part, 0)[0] for _, part in _components(supports))
+    unproven = ForcingResult(
+        edges=greedy,
+        size=len(greedy),
+        optimal=False,
+        lower_bound=max(_log2_ceil(len(rows)), packing),
+        greedy_size=len(greedy),
+        nodes=0,
+    )
     nodes = 0
-    optimal = True
-    # Frames: next edge to decide, unresolved row classes, an upper bound on
-    # their class bound, the mask of chosen edges, and the swap partners of
-    # the edges passed over. Bounds are tested on pop, since ``limit`` can
-    # tighten while a frame waits. Refining never raises the class bound, so
-    # a frame computes its own only when the inherited one could prune it.
-    stack = [(0, [(1 << t) - 1] if t > 1 else [], _log2_ceil(t), 0, 0)]
+    while True:
+        answer = 0
+        for span, part in _components(supports):
+            # The forcing set ``incumbent`` hits every support.
+            limit = (incumbent & span).bit_count() + 1
+            hit, used = _min_hitting_set(part, limit, node_limit - nodes)
+            nodes += used
+            if hit is None:
+                return replace(unproven, nodes=nodes)
+            answer |= hit
+        missed = set(_collisions(rows, answer))
+        if not missed:
+            edges = mask_to_edges(answer)
+            return replace(unproven, edges=edges, size=len(edges), optimal=True, nodes=nodes)
+        supports |= missed
+
+
+def _components(supports: set[int]) -> list[tuple[int, list[int]]]:
+    """The components of the support family, joined by shared edges: the
+    edge mask of each and its supports by size, then as sorted edge tuples.
+    The packing takes them in that order, so swap pairs go by lowest edge,
+    then lowest partner."""
+    supports = sorted(supports, key=lambda s: (s.bit_count(), mask_to_edges(s)))
+    spans: list[int] = []
+    for s in supports:
+        joined = s
+        for span in [span for span in spans if span & s]:
+            spans.remove(span)
+            joined |= span
+        spans.append(joined)
+    return [(span, [s for s in supports if s & span]) for span in spans]
+
+
+def _packing(supports: list[int], j: int) -> tuple[int, int]:
+    """Greedily pack the supports, cut to the edges from j on, into disjoint
+    sets in the given order; each packed one needs a chosen edge of its own.
+    Returns the packed count, or -1 when a cut support is empty, and the
+    union of the cut supports shifted down by j."""
+    used = union = count = 0
+    for s in supports:
+        cut = s >> j
+        if not cut:
+            return -1, 0
+        union |= cut
+        if not cut & used:
+            used |= cut
+            count += 1
+    return count, union
+
+
+def _min_hitting_set(supports: list[int], limit: int, node_limit: int) -> tuple[int | None, int]:
+    """The lexicographically smallest minimum hitting set of ``supports`` that
+    is smaller than ``limit``, as an edge mask, and the nodes spent on it;
+    None when there is none or ``node_limit`` nodes run out. A branch dies
+    once its size plus the packing reaches ``limit``, which drops to the size
+    of each set found, so include-first order finds that optimum first."""
+    best = None
+    nodes = 0
+    # Frames: next edge, chosen edges, unhit supports. Bounds are tested on
+    # pop, since ``limit`` can tighten while a frame waits.
+    stack = [(0, 0, supports)]
     while stack:
-        i, classes, class_bound, chosen, forced = stack.pop()
+        j, chosen, unhit = stack.pop()
         size = chosen.bit_count()
-        if size + class_bound >= limit:
-            class_bound = _class_lower_bound(classes)
-            if size + class_bound >= limit:
-                continue
-        if not classes:
-            best_set = mask_to_edges(chosen)
+        packed, union = _packing(unhit, j)
+        if packed < 0 or size + packed >= limit:
+            continue
+        if not unhit:
+            best = chosen
             limit = size
             continue
-        j = i
-        while j < m and not _splits_some_class(cols[j], classes):
-            forced |= nbr[j]
-            j += 1
-        if j == m:
-            continue
-        # Every edge below j that is not chosen is out for good.
-        if forced & ((1 << j) - 1) & ~chosen:
-            continue
-        undecided = full >> j << j
-        free = undecided & ~forced
-        if size + (forced & undecided).bit_count() + _swap_matching_size(free, nbr) >= limit:
-            continue
+        # Pass over the edges that meet no unhit support: a set holding one
+        # has a smaller subset that hits the same supports.
+        j += (union & -union).bit_length() - 1
         nodes += 1
         if nodes > node_limit:
-            optimal = False
-            break
-        stack.append((j + 1, classes, class_bound, chosen, forced | nbr[j]))
-        refined = _refine(classes, cols[j])
-        stack.append((j + 1, refined, class_bound, chosen | 1 << j, forced))
-    return ForcingResult(
-        edges=best_set,
-        size=len(best_set),
-        optimal=optimal,
-        lower_bound=max(_log2_ceil(t), _swap_matching_size(full, nbr)),
-        greedy_size=greedy_size,
-        nodes=nodes,
-    )
+            return None, nodes
+        bit = 1 << j
+        stack.append((j + 1, chosen, unhit))
+        stack.append((j + 1, chosen | bit, [s for s in unhit if not s & bit]))
+    return best, nodes

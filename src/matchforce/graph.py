@@ -61,7 +61,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if not saw_data and tokens[0] == "n":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise GraphError(f"line {lineno}: malformed header, expected 'n <count>'")
             declared_n = int(tokens[1])
             saw_data = True
@@ -183,10 +183,10 @@ def parse_family_name(name: str) -> GraphFamily:
     prefix, rest = name[0].upper(), name[1:]
     if prefix == "K" and "," in rest:
         a_txt, b_txt = rest.split(",", 1)
-        if not (a_txt.isdigit() and b_txt.isdigit()):
+        if not (a_txt.isdecimal() and b_txt.isdecimal()):
             raise GraphError(f"cannot parse family name {name!r}")
         return GraphFamily("complete_bipartite", int(a_txt), int(b_txt))
-    if not rest.isdigit():
+    if not rest.isdecimal():
         raise GraphError(f"cannot parse family name {name!r}")
     kinds = {p: kind for kind, p in _FAMILY_PREFIXES.items()}
     if prefix not in kinds:

@@ -112,7 +112,7 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
         if len(parts) != 2:
             raise SolutionFormatError(f"line {lineno}: expected 'x<i> <value>'")
         name, value_text = parts
-        if not (name.startswith("x") and name[1:].isdigit()):
+        if not (name.startswith("x") and name[1:].isdecimal()):
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
         index = int(name[1:])
         if not 1 <= index <= g.m:

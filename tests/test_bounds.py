@@ -16,10 +16,11 @@ from matchforce.bounds import (
     verify_bounds,
 )
 from matchforce.corona import corona_product
+from matchforce.forcing import phi_exact
 from matchforce.graph import complete, complete_bipartite, cycle, path, star
 from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
-from oracles import brute_min_forcing
+from oracles import brute_min_forcing, projections_distinct
 
 
 class TestClosedForms:
@@ -115,9 +116,10 @@ class TestVerifyBounds:
         assert report.verdicts == {"lower_le_upper": True}
 
     def test_factor_phi_must_be_proven(self, monkeypatch):
-        # 100 nodes leave C6oK2 at its greedy 16 edges; its φ is 15. An
-        # unproven factor value would leak into upper_sum, so it is an error.
-        monkeypatch.setattr("matchforce.bounds.DEFAULT_NODE_LIMIT", 100)
+        # 10 nodes leave C6oK2 at its greedy 16 edges; its φ is 15 and takes
+        # 20 nodes to prove. An unproven factor value would leak into
+        # upper_sum, so it is an error.
+        monkeypatch.setattr("matchforce.bounds.DEFAULT_NODE_LIMIT", 10)
         with pytest.raises(BudgetExceededError, match="factor H"):
             verify_bounds(complete(1), corona_product(cycle(6), complete(2)).graph)
 
@@ -211,8 +213,8 @@ def test_sweep_covers_all_pairs_and_passes():
 # list of them that the docs point to. The formula is left as implemented
 # until the paper's theorem text settles whether it lacks a hypothesis; these
 # pin the failures so none goes unseen. K2oK4's φ is also checked with HiGHS
-# in test_forcing.py; K3oK4's and P3oK4's come from the exact search alone.
-# C4oC4 (exact 26, bound 21) fails too but takes about 8 s, so it is left out.
+# in test_forcing.py; K3oK4's, P3oK4's and C4oC4's come from the exact
+# search, with the witness checked by projecting the matchings onto it.
 UPPER_SUM_FAILURES = [
     ("K1oK4", complete(1), complete(4), 8, 6),
     ("K1oC4", complete(1), cycle(4), 6, 5),
@@ -224,6 +226,7 @@ UPPER_SUM_FAILURES = [
     ("K2oK4", complete(2), complete(4), 16, 12),
     ("K3oK4", complete(3), complete(4), 26, 20),
     ("P3oK4", path(3), complete(4), 25, 19),
+    ("C4oC4", cycle(4), cycle(4), 26, 21),
 ]
 
 
@@ -237,5 +240,10 @@ def test_upper_sum_counterexamples(name, g, h, phi, upper_sum):
     assert report.verdicts["upper_complement"] and report.upper_complement == phi
     assert report.verdicts["lower_randomly"]
     cg = corona_product(g, h).graph
-    if cg.m <= 12:  # the subset oracle is fast up to here; the other pairs have 16 to 33 edges
-        assert brute_min_forcing(cg, maximal_matching_masks(cg))[0] == phi
+    rows = maximal_matching_masks(cg)
+    if cg.m <= 12:  # the subset oracle is fast up to here; the other pairs have 16 to 36 edges
+        assert brute_min_forcing(cg, rows)[0] == phi
+    else:
+        witness = phi_exact(cg).edges
+        assert len(witness) == phi
+        assert projections_distinct(rows, sum(1 << e for e in witness))

@@ -277,6 +277,22 @@ def test_non_utf8_input_is_a_domain_error(capsys, tmp_path, k3_file, flag):
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 4)\n"
 
 
+@pytest.mark.parametrize("case", ["header", "variable", "family", "bipartite-part"])
+def test_superscript_digits_are_a_domain_error(capsys, tmp_path, k3_file, case):
+    # "²" passes str.isdigit() but int() rejects it.
+    bad = tmp_path / "bad.txt"
+    bad.write_text({"header": "n ²\n0 1\n", "variable": "x² 1\n"}.get(case, ""), encoding="utf-8")
+    argv = {
+        "header": ["psi", "--in", str(bad)],
+        "variable": ["import-solution", "--in", k3_file, "--solution", str(bad)],
+        "family": ["sweep", "--families", "K²"],
+        "bipartite-part": ["sweep", "--families", "K2,²"],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def enumerated(monkeypatch):
     """Graphs passed to ``maximal_matching_masks``, one entry per call.

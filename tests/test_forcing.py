@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
-from matchforce.forcing import _swap_partners, is_global_forcing_set, phi_exact, phi_greedy
-from matchforce.graph import complete, complete_bipartite, cycle, empty, path
+from matchforce.forcing import _swap_pairs, is_global_forcing_set, phi_exact, phi_greedy
+from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path
 from matchforce.matchings import (
     BudgetExceededError,
     edge_neighbourhoods,
@@ -163,8 +163,8 @@ class TestExact:
 
 EXACT_INSTANCES = small_instances(max_edges=8)
 EXACT_IDS = [name for name, _ in EXACT_INSTANCES]
-# 16 edges and Psi = 90: a search of about 16k nodes, where a wrong visiting
-# order would return an optimum other than the lexicographically smallest.
+# 16 edges and Psi = 90, the largest graph this test gives the subset oracle; the
+# witness must be the oracle's lexicographically smallest optimum.
 C4_CORONA_K2 = ("C4oK2", corona_product(cycle(4), complete(2)).graph)
 
 
@@ -181,16 +181,17 @@ def test_exact_equals_exhaustive_search(name, graph):
     assert is_global_forcing_set(graph, result.edges)
 
 
-@pytest.mark.parametrize("node_limit,optimal", [(62188, False), (62189, True)])
+@pytest.mark.parametrize("node_limit,optimal", [(16564, False), (16565, True)])
 def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
     # On C4oP3 the greedy set (0, ..., 11) is already optimal, and the proof
-    # takes 62,189 nodes, so one node less of budget leaves it unproven. Any
-    # change in the visiting order, in the bounds or in where nodes are
-    # counted moves that point.
+    # takes 16,565 hitting-set nodes over 8 rounds, so one node less of
+    # budget leaves it unproven. Any change in the visiting order, in the
+    # bound, in the supports each round adds or in where nodes are counted
+    # moves that point.
     g = corona_product(cycle(4), path(3)).graph
     result = phi_exact(g, node_limit=node_limit)
     assert (result.edges, result.size, result.optimal) == (tuple(range(12)), 12, optimal)
-    assert result.nodes == 62189
+    assert result.nodes == 16565
     assert result.greedy_size == 12
 
 
@@ -198,17 +199,37 @@ def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
 @settings(max_examples=80, deadline=None)
 def test_swap_graph_and_bound_equal_the_oracles(g):
     rows = maximal_matching_masks(g)
-    expected = [0] * g.m
-    for a, b in brute_swap_pairs(rows):
-        e, f = (k for k in range(g.m) if (rows[a] ^ rows[b]) >> k & 1)
-        expected[e] |= 1 << f
-        expected[f] |= 1 << e
-    assert _swap_partners(rows, edge_neighbourhoods(g)) == expected
+    expected = {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
+    assert _swap_pairs(rows, edge_neighbourhoods(g)) == expected
     result = phi_exact(g)
     assert result.lower_bound <= result.size
     if g.m <= 8:
         size, witness = brute_min_forcing(g, rows)
         assert (result.edges, result.size, result.optimal) == (witness, size, True)
+
+
+def _disjoint_union(a, b):
+    """a and b side by side: b's vertices and edges come after a's."""
+    return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+
+
+@given(small_graphs(), small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_phi_adds_over_a_disjoint_union(a, b):
+    """A set forces a disjoint union exactly when its two parts force the two
+    graphs, so φ adds. Of two optimal sets, the lexicographically smaller
+    holds the least edge of their symmetric difference, and the parts' edge
+    indices do not interleave, so the union's witness is a's followed by b's
+    shifted by a.m."""
+    first, second = phi_exact(a), phi_exact(b)
+    union = _disjoint_union(a, b)
+    result = phi_exact(union)
+    assert result.optimal
+    assert result.size == first.size + second.size
+    assert result.edges == first.edges + tuple(e + a.m for e in second.edges)
+    if union.m <= 10:
+        rows = maximal_matching_masks(union)
+        assert (result.size, result.edges) == brute_min_forcing(union, rows)
 
 
 SWAP_COVER_G = [
@@ -252,13 +273,15 @@ def test_swap_cover_falls_short_without_a_perfect_matching():
 
 
 # phi and the greedy size. On C6oK2 the greedy set has 16 edges and the
-# optimum 15, so there the search has to improve on its seed.
+# optimum 15, so there the search has to improve on its seed. C4oP3 takes
+# the most hitting-set rounds of any instance measured, 8.
 HIGHS_INSTANCES = [
     ("C4oK2", cycle(4), complete(2), 10, 10),
     ("K3oP3", complete(3), path(3), 9, 9),
     ("C5oK2", cycle(5), complete(2), 13, 13),
     ("K2oK4", complete(2), complete(4), 16, 16),
     ("C6oK2", cycle(6), complete(2), 15, 16),
+    ("C4oP3", cycle(4), path(3), 12, 12),
 ]
 
 
