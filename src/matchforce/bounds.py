@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .corona import corona_product
-from .forcing import DEFAULT_MAX_EDGES, DEFAULT_NODE_LIMIT, _phi_exact_rows
+from .forcing import DEFAULT_MAX_EDGES, DEFAULT_NODE_LIMIT, _min_forcing_set
 from .graph import Graph
 from .matchings import (
     BudgetExceededError,
@@ -167,8 +167,8 @@ def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, int | None]:
     summary = _summarize_masks(rows, graph.n)
     if graph.m > DEFAULT_MAX_EDGES:
         return summary, None
-    result = _phi_exact_rows(rows, edge_neighbourhoods(graph), DEFAULT_NODE_LIMIT)
-    return summary, result.size if result.optimal else None
+    answer = _min_forcing_set(rows, edge_neighbourhoods(graph), DEFAULT_NODE_LIMIT)[0]
+    return summary, None if answer is None else answer.bit_count()
 
 
 def _exact_factor(graph: Graph, name: str, budget: int) -> tuple[MatchingSummary, int]:

@@ -75,10 +75,6 @@ def _collisions(rows: list[int], mask: int) -> Iterator[int]:
             yield earlier ^ row
 
 
-def _log2_ceil(count: int) -> int:
-    return (count - 1).bit_length() if count > 1 else 0
-
-
 def _column_masks(rows: list[int], m: int) -> list[int]:
     cols = [0] * m
     for i, row in enumerate(rows):
@@ -143,13 +139,17 @@ def _greedy_columns(cols: list[int], t: int) -> list[int]:
 
 def phi_greedy(g: Graph, budget: int = DEFAULT_BUDGET) -> ForcingResult:
     """Greedy upper bound; the result is a verified forcing set, not optimal."""
-    rows = maximal_matching_masks(g, budget)
-    chosen = sorted(_greedy_columns(_column_masks(rows, g.m), len(rows)))
+    return _greedy_result(maximal_matching_masks(g, budget), g.m)
+
+
+def _greedy_result(rows: list[int], m: int) -> ForcingResult:
+    """:func:`phi_greedy` on the Ψ >= 1 maximal matchings of a graph with m edges."""
+    chosen = tuple(sorted(_greedy_columns(_column_masks(rows, m), len(rows))))
     return ForcingResult(
-        edges=tuple(chosen),
+        edges=chosen,
         size=len(chosen),
         optimal=False,
-        lower_bound=_log2_ceil(len(rows)),
+        lower_bound=(len(rows) - 1).bit_length(),
         greedy_size=len(chosen),
         nodes=0,
     )
@@ -164,11 +164,11 @@ def phi_exact(
 
     Each round solves the supports known so far, at first the swap pairs,
     one connected component at a time, by an include-first search over edge
-    indices that is seeded by the greedy set and pruned by a greedy packing
-    of disjoint unhit supports. It then adds the support of every pair of
-    matchings that the union of the answers leaves indistinguishable. When
-    there is none, the union forces, and as each round solved a relaxation,
-    it is the lexicographically smallest minimum forcing set.
+    indices that is pruned by a greedy packing of disjoint unhit supports.
+    It then adds the support of every pair of matchings that the union of
+    the answers leaves indistinguishable. When there is none, the union
+    forces, and as each round solved a relaxation, it is the
+    lexicographically smallest minimum forcing set.
 
     ``lower_bound`` is the larger of ceil(log2 Ψ) and the root packing. If
     the node limit, counted over all rounds, is hit, the greedy set is
@@ -181,48 +181,46 @@ def phi_exact(
         raise BudgetExceededError(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
-    return _phi_exact_rows(maximal_matching_masks(g, budget), edge_neighbourhoods(g), node_limit)
+    rows = maximal_matching_masks(g, budget)
+    answer, packing, nodes = _min_forcing_set(rows, edge_neighbourhoods(g), node_limit)
+    greedy = _greedy_result(rows, g.m)
+    greedy = replace(greedy, lower_bound=max(greedy.lower_bound, packing), nodes=nodes)
+    if answer is None:
+        return greedy
+    edges = mask_to_edges(answer)
+    return replace(greedy, edges=edges, size=len(edges), optimal=True)
 
 
-def _phi_exact_rows(rows: list[int], near: list[int], node_limit: int) -> ForcingResult:
-    """:func:`phi_exact` on the enumerated maximal matchings of a graph whose
-    edges have the closed neighbourhoods ``near``."""
-    greedy = tuple(sorted(_greedy_columns(_column_masks(rows, len(near)), len(rows))))
-    incumbent = sum(1 << e for e in greedy)
+def _min_forcing_set(
+    rows: list[int], near: list[int], node_limit: int
+) -> tuple[int | None, int, int]:
+    """For the maximal matchings ``rows`` of a graph whose edges have the
+    closed neighbourhoods ``near``: their lexicographically smallest minimum
+    forcing set as an edge mask, or None once ``node_limit`` nodes run out;
+    the root packing of disjoint swap pairs; the nodes over all rounds."""
     supports = _swap_pairs(rows, near)
     # Packings of disjoint components add up.
-    packing = sum(_packing(part, 0)[0] for _, part in _components(supports))
-    unproven = ForcingResult(
-        edges=greedy,
-        size=len(greedy),
-        optimal=False,
-        lower_bound=max(_log2_ceil(len(rows)), packing),
-        greedy_size=len(greedy),
-        nodes=0,
-    )
+    packing = sum(_packing(part, 0)[0] for part in _components(supports))
     nodes = 0
     while True:
         answer = 0
-        for span, part in _components(supports):
-            # The forcing set ``incumbent`` hits every support.
-            limit = (incumbent & span).bit_count() + 1
-            hit, used = _min_hitting_set(part, limit, node_limit - nodes)
+        for part in _components(supports):
+            hit, used = _min_hitting_set(part, node_limit - nodes)
             nodes += used
             if hit is None:
-                return replace(unproven, nodes=nodes)
+                return None, packing, nodes
             answer |= hit
         missed = set(_collisions(rows, answer))
         if not missed:
-            edges = mask_to_edges(answer)
-            return replace(unproven, edges=edges, size=len(edges), optimal=True, nodes=nodes)
+            return answer, packing, nodes
         supports |= missed
 
 
-def _components(supports: set[int]) -> list[tuple[int, list[int]]]:
+def _components(supports: set[int]) -> list[list[int]]:
     """The components of the support family, joined by shared edges: the
-    edge mask of each and its supports by size, then as sorted edge tuples.
-    The packing takes them in that order, so swap pairs go by lowest edge,
-    then lowest partner."""
+    supports of each by size, then as sorted edge tuples. The packing takes
+    them in that order, so swap pairs go by lowest edge, then lowest
+    partner."""
     supports = sorted(supports, key=lambda s: (s.bit_count(), mask_to_edges(s)))
     spans: list[int] = []
     for s in supports:
@@ -231,7 +229,7 @@ def _components(supports: set[int]) -> list[tuple[int, list[int]]]:
             spans.remove(span)
             joined |= span
         spans.append(joined)
-    return [(span, [s for s in supports if s & span]) for span in spans]
+    return [[s for s in supports if s & span] for span in spans]
 
 
 def _packing(supports: list[int], j: int) -> tuple[int, int]:
@@ -251,14 +249,15 @@ def _packing(supports: list[int], j: int) -> tuple[int, int]:
     return count, union
 
 
-def _min_hitting_set(supports: list[int], limit: int, node_limit: int) -> tuple[int | None, int]:
-    """The lexicographically smallest minimum hitting set of ``supports`` that
-    is smaller than ``limit``, as an edge mask, and the nodes spent on it;
-    None when there is none or ``node_limit`` nodes run out. A branch dies
-    once its size plus the packing reaches ``limit``, which drops to the size
-    of each set found, so include-first order finds that optimum first."""
+def _min_hitting_set(supports: list[int], node_limit: int) -> tuple[int | None, int]:
+    """The lexicographically smallest minimum hitting set of ``supports``, as
+    an edge mask, and the nodes spent on it; None when ``node_limit`` nodes
+    run out. A branch dies once its size plus the packing reaches ``limit``,
+    at first one more than a set of one edge per support, then the size of
+    each set found, so include-first order finds that optimum first."""
     best = None
     nodes = 0
+    limit = len(supports) + 1
     # Frames: next edge, chosen edges, unhit supports. Bounds are tested on
     # pop, since ``limit`` can tighten while a frame waits.
     stack = [(0, 0, supports)]

@@ -116,12 +116,22 @@ class TestVerifyBounds:
         assert report.verdicts == {"lower_le_upper": True}
 
     def test_factor_phi_must_be_proven(self, monkeypatch):
-        # 10 nodes leave C6oK2 at its greedy 16 edges; its φ is 15 and takes
-        # 20 nodes to prove. An unproven factor value would leak into
+        # 10 nodes leave C6oK2 unproven; its φ is 15 and takes 21 nodes to
+        # prove. An unproven factor value would leak into
         # upper_sum, so it is an error.
         monkeypatch.setattr("matchforce.bounds.DEFAULT_NODE_LIMIT", 10)
         with pytest.raises(BudgetExceededError, match="factor H"):
             verify_bounds(complete(1), corona_product(cycle(6), complete(2)).graph)
+
+    def test_exact_phi_runs_no_greedy(self, monkeypatch):
+        # A report carries no greedy size, so bounds reads φ off the exact
+        # search alone and never builds the greedy set.
+        def refuse(*args):
+            raise AssertionError("bounds ran the greedy forcing set")
+
+        monkeypatch.setattr("matchforce.forcing._greedy_columns", refuse)
+        report = verify_bounds(cycle(4), complete(2), "C4", "K2")
+        assert (report.phi_g, report.phi_h, report.exact_phi) == (1, 0, 10)
 
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_nu_prediction_off_either_way_fails(self, monkeypatch, offset):
