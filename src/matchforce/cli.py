@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -211,7 +212,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. It is built once per process, since building
+    it takes longer than many commands, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="matchforce",
         description="Exact computations around global forcing sets of maximal matchings.",

@@ -2,8 +2,9 @@
 
 Nothing here reuses the package's enumeration, search or structure code
 paths: matchings are checked straight from the definition over all edge
-subsets, minimum forcing sets come from exhaustive subset search, and
-component tags from testing every vertex pair and every equal split.
+subsets or found by branching on vertices, minimum forcing sets come from
+exhaustive subset search, and component tags from testing every vertex pair
+and every equal split.
 """
 
 from __future__ import annotations
@@ -41,6 +42,43 @@ def brute_maximal_masks(g: Graph) -> list[int]:
         if maximal:
             out.append(mask)
     return sorted(out, key=lambda mask: tuple(i for i in range(m) if mask >> i & 1))
+
+
+def vertex_branch_maximal_masks(g: Graph) -> list[int]:
+    """All maximal matchings by branching on vertices, in the canonical order.
+
+    The lowest vertex that is still free and has a free neighbour is either
+    matched to one of those neighbours or set aside for good, which leaves
+    it unmatched. A vertex set aside next to another one leaves an edge no
+    matching can cover, so that branch stops. Once no free vertex has a free
+    neighbour, the matching is kept if it covers an endpoint of every edge.
+    Unlike :func:`brute_maximal_masks` the work follows the number of
+    matchings, not 2^m, and unlike the package it never orders the edges.
+    """
+    index = {frozenset(edge): i for i, edge in enumerate(g.edges)}
+    adjacent: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    out = []
+    stack = [(frozenset(), frozenset(), 0)]
+    while stack:
+        matched, aside, mask = stack.pop()
+        taken = matched | aside
+        v = next(
+            (x for x in sorted(adjacent) if x not in taken and any(y not in taken for y in adjacent[x])),
+            None,
+        )
+        if v is None:
+            if all(u in matched or w in matched for u, w in g.edges):
+                out.append(mask)
+            continue
+        for w in adjacent[v]:
+            if w not in taken:
+                stack.append((matched | {v, w}, aside, mask | 1 << index[frozenset((v, w))]))
+        if not any(y in aside for y in adjacent[v]):
+            stack.append((matched, aside | {v}, mask))
+    return sorted(out, key=lambda mask: tuple(i for i in range(g.m) if mask >> i & 1))
 
 
 def degrees(g: Graph) -> list[int]:

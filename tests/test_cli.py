@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -11,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchforce
 from matchforce import matchings
 from matchforce.bounds import verify_bounds
-from matchforce.cli import main
+from matchforce.cli import build_parser, main
 from matchforce.corona import corona_product
 from matchforce.graph import complete, parse_edge_list, serialize_edge_list, star
 
@@ -248,6 +251,23 @@ def test_output_file_flag(tmp_path, capsys, k3_file):
     assert code == 0
     assert stdout == ""
     assert out.read_text() == "3\n"
+
+
+def test_parser_is_reused_and_survives_a_usage_error(capsys, k3_file):
+    assert build_parser() is build_parser()
+    src = str(Path(matchforce.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "matchforce", "psi", "--json", "--in", k3_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert main(["psi", "--in", k3_file, "--budget", "0"]) == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "psi", "--json", "--in", k3_file)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["psi"] == 3
 
 
 def test_usage_error_exit_code(capsys, k3_file):

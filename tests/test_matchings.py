@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchforce import matchings
 from matchforce.corona import corona_product
 from matchforce.forcing import phi_exact
 from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path, star
@@ -17,7 +20,12 @@ from matchforce.matchings import (
     summarize_matchings,
 )
 
-from oracles import brute_maximal_masks, brute_min_forcing, small_instances
+from oracles import (
+    brute_maximal_masks,
+    brute_min_forcing,
+    small_instances,
+    vertex_branch_maximal_masks,
+)
 
 
 class TestPredicates:
@@ -85,6 +93,15 @@ class TestEnumeration:
             maximal_matching_masks(complete(4), budget=2)
         assert len(maximal_matching_masks(complete(4), budget=3)) == 3
 
+    def test_budget_boundary_on_a_relabelled_scan(self):
+        # P5oK3 has 34 edges, so its scan is relabelled, and
+        # Psi = 3^5 F(6) = 1,944 maximal matchings.
+        g = corona_product(path(5), complete(3)).graph
+        assert g.m > matchings._RELABEL_ABOVE
+        with pytest.raises(BudgetExceededError):
+            maximal_matching_masks(g, budget=1943)
+        assert len(maximal_matching_masks(g, budget=1944)) == 1944
+
     def test_long_scans_need_no_recursion(self):
         # In each, one branch decides more edges than Python's default
         # recursion limit of 1,000 frames.
@@ -107,6 +124,34 @@ ORACLE_IDS = [name for name, _ in ORACLE_INSTANCES]
 @pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
 def test_enumeration_equals_subset_oracle(name, graph):
     assert maximal_matching_masks(graph) == brute_maximal_masks(graph)
+
+
+@pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
+def test_relabelled_scan_equals_subset_oracle(name, graph, monkeypatch):
+    # Only larger graphs take the Cuthill-McKee scan; force it here.
+    monkeypatch.setattr(matchings, "_RELABEL_ABOVE", 0)
+    assert maximal_matching_masks(graph) == brute_maximal_masks(graph)
+
+
+# Coronas past the subset oracle's reach, on both sides of the relabelling
+# threshold: 13 to 18 edges scan in index order, 26 to 34 in scan order.
+CORONA_FACTORS = [
+    ("K2oK3", complete(2), complete(3)),
+    ("C4oK2", cycle(4), complete(2)),
+    ("K2oC4", complete(2), cycle(4)),
+    ("K3oP3", complete(3), path(3)),
+    ("P3oC4", path(3), cycle(4)),
+    ("P4oK3", path(4), complete(3)),
+    ("K3oC4", complete(3), cycle(4)),
+    ("K3oK4", complete(3), complete(4)),
+    ("P5oK3", path(5), complete(3)),
+]
+
+
+@pytest.mark.parametrize("name,g,h", CORONA_FACTORS, ids=[name for name, _, _ in CORONA_FACTORS])
+def test_enumeration_equals_vertex_branch_oracle(name, g, h):
+    graph = corona_product(g, h).graph
+    assert maximal_matching_masks(graph) == vertex_branch_maximal_masks(graph)
 
 
 @pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
@@ -216,3 +261,21 @@ def test_enumeration_and_search_equal_the_oracles(g):
         result = phi_exact(g)
         assert result.optimal
         assert (result.size, result.edges) == brute_min_forcing(g, rows)
+
+
+@given(small_graphs(), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_edge_order_changes_only_the_labels(g, rng, relabel):
+    # Shuffling the edge list renames the edges and nothing else, whichever
+    # scan the enumerator picks.
+    perm = list(range(g.m))
+    rng.shuffle(perm)
+    shuffled = Graph(n=g.n, edges=tuple(g.edges[e] for e in perm))
+    with mock.patch.object(matchings, "_RELABEL_ABOVE", 0 if relabel else matchings._RELABEL_ABOVE):
+        rows = maximal_matching_masks(g)
+        moved = maximal_matching_masks(shuffled)
+        listings = enumerate_maximal_matchings(g), enumerate_maximal_matchings(shuffled)
+    back = {sum(1 << perm[i] for i in mask_to_edges(mask)) for mask in moved}
+    assert back == set(rows)
+    for listing in listings:
+        assert all(a < b for a, b in zip(listing, listing[1:]))
