@@ -8,12 +8,13 @@ search and the ILP export all work on that list of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (
     BALANCED_COMPLETE_BIPARTITE,
     COMPLETE_EVEN,
     Graph,
+    _neighbours,
     recognize_structure,
 )
 
@@ -88,20 +89,27 @@ def is_maximal_matching(g: Graph, edges: Iterable[int]) -> bool:
     return sat is not None and all(sat & ((1 << u) | (1 << v)) for u, v in g.edges)
 
 
+def _neighbourhood_masks(edges: Sequence[tuple[int, int]]) -> list[int]:
+    """near[k]: the positions of the edges sharing a vertex with edges[k],
+    k included, as a bitmask over the sequence."""
+    incident: dict[int, int] = {}
+    for k, (u, v) in enumerate(edges):
+        incident[u] = incident.get(u, 0) | 1 << k
+        incident[v] = incident.get(v, 0) | 1 << k
+    return [incident[u] | incident[v] for u, v in edges]
+
+
 def edge_neighbourhoods(g: Graph) -> list[int]:
     """near[e]: the edges sharing a vertex with edge e, e included, as a
     bitmask. These are the closed neighbourhoods of the line graph."""
-    incident: dict[int, int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        incident[u] = incident.get(u, 0) | 1 << e
-        incident[v] = incident.get(v, 0) | 1 << e
-    return [incident[u] | incident[v] for u, v in g.edges]
+    return _neighbourhood_masks(g.edges)
 
 
 # Graphs of at most this many edges are scanned in index order. Measured on
-# coronas, relabelling, sorting and reversing the rows cost more than the
-# shorter search saved up to 18 edges, broke even from 20 to 24 and won from
-# 26 on. Random graphs of up to 32 edges stayed faster in index order.
+# coronas (Python 3.11, one Xeon core), the scan took 1.3 to 1.6 times the
+# index-order time up to 20 edges, 0.95 to 1.13 from 21 to 24 and 0.80 to
+# 0.97 from 25 on (median per edge count). Random graphs of 16 to 32 edges
+# stayed faster in index order, at 1.08 to 1.61.
 _RELABEL_ABOVE = 24
 
 # _REVERSED_BITS[b] is byte b with its bits in reverse order. Translating the
@@ -110,49 +118,31 @@ _RELABEL_ABOVE = 24
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _scan_order(g: Graph) -> tuple[list[int], list[int]]:
-    """The edges in Cuthill-McKee order on the line graph, and the closed
-    neighbourhood of each as a mask over that order.
+def _scan_order(g: Graph) -> list[int]:
+    """The edges sorted by the Cuthill-McKee ranks of their endpoints,
+    smaller rank first.
 
-    The order is breadth first from the lowest unplaced edge of each
-    component, and each edge taken from the queue places its unplaced
-    neighbours by degree. An edge's neighbours then sit a few positions
-    after it, where index order can leave them up to m positions away.
+    The vertices are ranked breadth first, from each component's first
+    vertex in edge-list order, and each vertex taken from the queue ranks its
+    unranked neighbours by degree. Two edges that share a vertex then sit a
+    few positions apart (at most 7 on every P_n o K3), where index order can
+    leave them up to m positions apart.
     """
-    edges = g.edges
-    incident: dict[int, list[int]] = {}
-    for e, (u, v) in enumerate(edges):
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
-    degree = [len(incident[u]) + len(incident[v]) for u, v in edges]
-    # at[x]: the positions of the placed edges at x. A vertex leaves
-    # ``incident`` once the queue reaches one of its edges, so each
-    # incidence list is read once.
-    at = dict.fromkeys(incident, 0)
-    placed = bytearray(g.m)
-    order: list[int] = []
-    near: list[int] = []
-    for root in range(g.m):
-        if placed[root]:
+    nbrs = _neighbours(g)
+    rank: dict[int, int] = {}
+    for root in nbrs:
+        if root in rank:
             continue
-        placed[root] = 1
-        u, v = edges[root]
-        at[u] = at[v] = 1 << len(order)
-        order.append(root)
-        while len(near) < len(order):
-            u, v = edges[order[len(near)]]
-            fresh = [f for f in incident.pop(u, []) + incident.pop(v, []) if not placed[f]]
-            fresh.sort(key=degree.__getitem__)
-            for f in fresh:
-                placed[f] = 1
-                a, b = edges[f]
-                bit = 1 << len(order)
-                at[a] |= bit
-                at[b] |= bit
-                order.append(f)
-            # Every edge at u and v is placed by now.
-            near.append(at[u] | at[v])
-    return order, near
+        rank[root] = len(rank)
+        queue = [root]
+        for u in queue:
+            fresh = [w for w in nbrs[u] if w not in rank]
+            fresh.sort(key=lambda w: len(nbrs[w]))
+            for w in fresh:
+                rank[w] = len(rank)
+            queue += fresh
+    ends = [sorted((rank[u], rank[v])) for u, v in g.edges]
+    return sorted(range(g.m), key=ends.__getitem__)
 
 
 def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -165,13 +155,14 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     The search decides one edge at a time, including it before excluding
     it, and drops a branch once an excluded edge can no longer be blocked.
     On graphs of more than ``_RELABEL_ABOVE`` edges it decides them in
-    :func:`_scan_order`, so an excluded edge meets its last neighbour soon
-    and a branch that cannot become maximal dies early. On that scan each
-    matching is built as a key in which edge e is bit m - 1 - e. Two distinct
-    maximal matchings never contain one another, so the first in
-    lexicographic order is the one holding the lowest edge of their
-    symmetric difference: the one with the larger key. Sorting the keys in
-    descending order and reversing their bits gives the masks in order.
+    :func:`_scan_order`, by the Cuthill-McKee ranks of their endpoints, so an
+    excluded edge meets its last neighbour soon and a branch that cannot
+    become maximal dies early. On that scan each matching is built as a key
+    in which edge e is bit m - 1 - e. Two distinct maximal matchings never
+    contain one another, so the first in lexicographic order is the one
+    holding the lowest edge of their symmetric difference: the one with the
+    larger key. Sorting the keys in descending order and reversing their
+    bits gives the masks in order.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -180,12 +171,9 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     # The scan decides position k in turn: edge k, or edge order[k] once
     # relabelled. near and dead are masks over positions, and key[k] is the
     # bit that position adds to a matching.
-    if relabel:
-        order, near = _scan_order(g)
-        key = [1 << (m - 1 - e) for e in order]
-    else:
-        near = edge_neighbourhoods(g)
-        key = [1 << e for e in range(m)]
+    order = _scan_order(g) if relabel else range(m)
+    near = _neighbourhood_masks([g.edges[e] for e in order])
+    key = [1 << (m - 1 - e if relabel else e) for e in order]
     # dead[j]: the positions whose neighbours all lie below j. Once the scan
     # reaches j, an excluded-but-still-addable one can never be blocked again.
     dead = [0] * (m + 1)

@@ -128,7 +128,8 @@ def test_enumeration_equals_subset_oracle(name, graph):
 
 @pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
 def test_relabelled_scan_equals_subset_oracle(name, graph, monkeypatch):
-    # Only larger graphs take the Cuthill-McKee scan; force it here.
+    # Only larger graphs take the scan order, Cuthill-McKee on the vertices;
+    # force it here.
     monkeypatch.setattr(matchings, "_RELABEL_ABOVE", 0)
     assert maximal_matching_masks(graph) == brute_maximal_masks(graph)
 
@@ -152,6 +153,33 @@ CORONA_FACTORS = [
 def test_enumeration_equals_vertex_branch_oracle(name, g, h):
     graph = corona_product(g, h).graph
     assert maximal_matching_masks(graph) == vertex_branch_maximal_masks(graph)
+
+
+def _bandwidth(g, order):
+    # The largest position gap between two edges that share an endpoint: how
+    # long the search waits before an excluded edge meets its last neighbour.
+    position = {e: k for k, e in enumerate(order)}
+    return max(
+        (
+            abs(position[e] - position[f])
+            for e in range(g.m)
+            for f in range(e)
+            if set(g.edges[e]) & set(g.edges[f])
+        ),
+        default=0,
+    )
+
+
+def test_scan_order_keeps_neighbours_close():
+    # Index order spreads P_n o K3 over 6n gaps (18 to 72 here); the scan keeps
+    # every pair of neighbours within 7 positions, whatever the length.
+    widths = set()
+    for n in range(3, 13):
+        g = corona_product(path(n), complete(3)).graph
+        widths.add(_bandwidth(g, matchings._scan_order(g)))
+    assert len(widths) == 1 and widths.pop() <= 7
+    g = corona_product(cycle(5), cycle(4)).graph
+    assert 2 * _bandwidth(g, matchings._scan_order(g)) <= _bandwidth(g, range(g.m)) == 41
 
 
 @pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
@@ -279,3 +307,15 @@ def test_edge_order_changes_only_the_labels(g, rng, relabel):
     assert back == set(rows)
     for listing in listings:
         assert all(a < b for a, b in zip(listing, listing[1:]))
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_neighbourhood_masks_in_any_order(g, rng):
+    order = list(range(g.m))
+    rng.shuffle(order)
+    edges = [g.edges[e] for e in order]
+    near = matchings._neighbourhood_masks(edges)
+    for k, (u, v) in enumerate(edges):
+        assert near[k] == sum(1 << j for j, edge in enumerate(edges) if {u, v} & set(edge))
+    assert matchings._neighbourhood_masks(g.edges) == matchings.edge_neighbourhoods(g)
