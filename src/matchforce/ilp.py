@@ -9,7 +9,10 @@ in a plain LP text format and solutions are read back as edge sets.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import Graph
 from .matchings import DEFAULT_BUDGET, mask_to_edges, maximal_matching_masks
@@ -19,19 +22,62 @@ class SolutionFormatError(ValueError):
     """A solver solution file does not follow the expected format."""
 
 
+class _RowPairs:
+    """The row pairs ``(i, j)``, ``i < j``, whose rows differ exactly on one
+    support, in lexicographic order.
+
+    The count is known when the model is built; the pairs themselves are
+    listed on demand, in one pass over the rows. It compares equal to the
+    tuple of its pairs.
+    """
+
+    __slots__ = ("_support", "_count", "_rows", "_index")
+
+    def __init__(self, support: int, count: int, rows: list[int], index: dict[int, int]):
+        self._support = support
+        self._count = count
+        self._rows = rows
+        self._index = index
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        support, index = self._support, self._index
+        for i, row in enumerate(self._rows):
+            j = index.get(row ^ support)
+            if j is not None and j > i:
+                yield (i, j)
+
+    def __getitem__(self, k):
+        return tuple(self)[k]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _RowPairs)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class IlpConstraint:
     """One surviving covering constraint.
 
     ``label`` is the 0-based row pair that names the constraint, ``columns``
     the 0-based edge indices with nonzero coefficient, and ``pairs`` every row
-    pair whose constraint has this same support (just the label when
-    deduplication is off).
+    pair whose constraint has this same support, in lexicographic order (just
+    the label when deduplication is off). With deduplication on, ``len`` of
+    ``pairs`` is immediate and the pairs are listed when iterated.
     """
 
     label: tuple[int, int]
     columns: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
+    pairs: Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -56,41 +102,51 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     support share one constraint labeled by the lexicographically first pair.
     """
     rows = maximal_matching_masks(g, budget)
-    t = len(rows)
-    # Constraint key -> the row pairs behind it, in first-seen order.
-    groups: dict[object, list[tuple[int, int]]] = {}
-    for i in range(t):
-        row = rows[i]
-        for j in range(i + 1, t):
-            key = row ^ rows[j] if dedup else (i, j)
-            if key in groups:
-                groups[key].append((i, j))
-            else:
-                groups[key] = [(i, j)]
-    constraints = tuple(
-        IlpConstraint(
-            label=pairs[0],
-            columns=mask_to_edges(rows[pairs[0][0]] ^ rows[pairs[0][1]]),
-            pairs=tuple(pairs),
+    index = {row: i for i, row in enumerate(rows)}
+    # Support -> number of row pairs behind it, in first-seen order. Each row
+    # is counted against every later row in one C-level update; the supports
+    # it adds for the first time are the newest keys, and since rows are
+    # distinct each names the one later row j it came from.
+    counts: Counter[int] = Counter()
+    labels: list[tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        before = len(counts)
+        counts.update(map(row.__xor__, rows[i + 1 :]))
+        fresh = list(islice(reversed(counts), len(counts) - before))
+        labels.extend((i, index[row ^ key]) for key in reversed(fresh))
+    if dedup:
+        constraints = tuple(
+            IlpConstraint(label, mask_to_edges(key), _RowPairs(key, count, rows, index))
+            for label, (key, count) in zip(labels, counts.items())
         )
-        for pairs in groups.values()
-    )
+    else:
+        columns = {key: mask_to_edges(key) for key in counts}
+        constraints = tuple(
+            IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
+            for i, row in enumerate(rows)
+            for j in range(i + 1, len(rows))
+        )
     return IlpModel(num_edges=g.m, constraints=constraints)
 
 
 def export_lp(model: IlpModel) -> str:
     """Render the model as LP text; variables are 1-based (x1..xm), constraint
     names carry the 1-based row pair they came from."""
-    lines = ["Minimize"]
-    terms = " + ".join(f"x{k}" for k in range(1, model.num_edges + 1))
-    lines.append(f" obj: {terms}" if terms else " obj:")
-    lines.append("Subject To")
+    names = [f"x{k}" for k in range(1, model.num_edges + 1)]
+    lines = ["Minimize", f" obj: {' + '.join(names)}" if names else " obj:", "Subject To"]
+    # Constraints without deduplication share one columns tuple per support.
+    bodies: dict[tuple[int, ...], str] = {}
     for constraint in model.constraints:
+        columns = constraint.columns
+        body = bodies.get(columns)
+        if body is None:
+            body = bodies[columns] = " + ".join(map(names.__getitem__, columns))
         i, j = constraint.label
-        body = " + ".join(f"x{col + 1}" for col in constraint.columns)
         lines.append(f" c{i + 1}_{j + 1}: {body} >= 1")
+    # The lines hold every body by now; free the cache before the join.
+    del bodies
     lines.append("Binary")
-    lines.extend(f" x{k}" for k in range(1, model.num_edges + 1))
+    lines.extend(f" {name}" for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -176,6 +176,26 @@ def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("rows are distinct, so the full edge set always works")
 
 
+def brute_ilp_constraints(
+    rows: list[int], dedup: bool
+) -> list[tuple[tuple[int, int], tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """The covering constraints as ``(label, columns, pairs)``, grouped pair
+    by pair: every row pair (i, j), i < j, in lexicographic order, joins the
+    group of its column support (with ``dedup``) or forms its own. Groups
+    come in first-seen order and are labeled by their first pair."""
+    groups: dict[object, list[tuple[int, int]]] = {}
+    for i, j in combinations(range(len(rows)), 2):
+        key = rows[i] ^ rows[j] if dedup else (i, j)
+        groups.setdefault(key, []).append((i, j))
+    out = []
+    for pairs in groups.values():
+        i, j = pairs[0]
+        diff = rows[i] ^ rows[j]
+        columns = tuple(c for c in range(diff.bit_length()) if diff >> c & 1)
+        out.append((pairs[0], columns, tuple(pairs)))
+    return out
+
+
 def corona_psi(g: Graph, h: Graph) -> int:
     """Ψ(G∘H) from the factors, without building or enumerating the corona.
 

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from matchforce import cli
+from matchforce.corona import corona_product
 from matchforce.forcing import is_global_forcing_set, phi_exact
-from matchforce.graph import Graph, complete, path
+from matchforce.graph import Graph, complete, cycle, path, serialize_edge_list
 from matchforce.ilp import (
     SolutionFormatError,
     build_model,
     export_lp,
     import_solution,
 )
+from matchforce.matchings import maximal_matching_masks
 
-from oracles import small_instances
+from oracles import brute_ilp_constraints, small_instances
 
 K3_LP = """Minimize
  obj: x1 + x2 + x3
@@ -70,7 +75,9 @@ class TestBuildModel:
         supports = [c.columns for c in deduped.constraints]
         assert len(set(supports)) == len(supports)
         for constraint in deduped.constraints:
-            assert constraint.label == min(constraint.pairs)
+            assert constraint.label == min(constraint.pairs) == constraint.pairs[0]
+            listed = tuple(constraint.pairs)
+            assert constraint.pairs == listed and hash(constraint.pairs) == hash(listed)
 
     @pytest.mark.parametrize("dedup", [True, False])
     def test_feasibility_matches_forcing_predicate(self, dedup):
@@ -79,6 +86,27 @@ class TestBuildModel:
             for mask in range(1 << g.m):
                 edges = [j for j in range(g.m) if mask >> j & 1]
                 assert model.satisfied_by(mask) == is_global_forcing_set(g, edges)
+
+
+ORACLE_GRAPHS = small_instances(max_edges=8) + [
+    ("C5oK2", corona_product(cycle(5), complete(2)).graph),
+    ("C4oP3", corona_product(cycle(4), path(3)).graph),
+]
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "nodedup"])
+@pytest.mark.parametrize("name,graph", ORACLE_GRAPHS, ids=[n for n, _ in ORACLE_GRAPHS])
+def test_model_matches_pairwise_grouping(name, graph, dedup):
+    rows = maximal_matching_masks(graph)
+    model = build_model(graph, dedup=dedup)
+    want = brute_ilp_constraints(rows, dedup)
+    assert len(model.constraints) == len(want)
+    for c, (label, columns, pairs) in zip(model.constraints, want):
+        assert (c.label, c.columns, tuple(c.pairs), len(c.pairs)) == (label, columns, pairs, len(pairs))
+        assert min(c.pairs) == c.label
+    psi = len(rows)
+    assert sum(len(c.pairs) for c in model.constraints) == psi * (psi - 1) // 2
+    assert build_model(graph, dedup=dedup) == model
 
 
 class TestExport:
@@ -161,3 +189,24 @@ def test_dedup_preserves_the_feasible_set(name, graph):
     deduped = build_model(graph, dedup=True)
     for mask in range(1 << graph.m):
         assert full.satisfied_by(mask) == deduped.satisfied_by(mask)
+
+
+# SHA-256 of the export-lp stdout, copied from bench/goldens.json (keys
+# export-lp-C5oK2, export-lp-P6oK2 and export-lp-nodedup-C5oK2).
+LP_DIGESTS = [
+    ("C5oK2", (), "762983ead6654424dfe0126c925405d87701faf4bb40da74ff70763ee3756348"),
+    ("P6oK2", (), "938777b9540bceaccb1cfbf51f4b4f420f1c3fbdece0899829d821086814b4ac"),
+    ("C5oK2", ("--no-dedup",), "62851a8e8fe1c342aa13bda023970e58dee94cd8abbc4d477021944fb09a36f0"),
+]
+LP_INPUTS = {
+    "C5oK2": corona_product(cycle(5), complete(2)).graph,
+    "P6oK2": corona_product(path(6), complete(2)).graph,
+}
+
+
+@pytest.mark.parametrize("name,extra,digest", LP_DIGESTS, ids=["C5oK2", "P6oK2", "nodedup-C5oK2"])
+def test_export_lp_bytes_match_the_goldens(name, extra, digest, capsys, tmp_path):
+    source = tmp_path / f"{name}.txt"
+    source.write_text(serialize_edge_list(LP_INPUTS[name]))
+    assert cli.main(["export-lp", *extra, "--in", str(source)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
