@@ -43,6 +43,12 @@ class Graph:
         return len(self.edges)
 
 
+def is_ascii_number(token: str) -> bool:
+    """Whether ``token`` is a run of ASCII digits: ``int()`` would also read
+    other Unicode digits and ``_`` separators."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format into a :class:`Graph`.
 
@@ -61,7 +67,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if not saw_data and tokens[0] == "n":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
+            if len(tokens) != 2 or not is_ascii_number(tokens[1]):
                 raise GraphError(f"line {lineno}: malformed header, expected 'n <count>'")
             declared_n = int(tokens[1])
             saw_data = True
@@ -70,6 +76,9 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise GraphError(f"line {lineno}: expected '<u> <v>', got {line!r}")
         try:
+            # int() also reads non-ASCII digits and "_" separators.
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer vertex in {line!r}") from None
@@ -183,10 +192,10 @@ def parse_family_name(name: str) -> GraphFamily:
     prefix, rest = name[0].upper(), name[1:]
     if prefix == "K" and "," in rest:
         a_txt, b_txt = rest.split(",", 1)
-        if not (a_txt.isdecimal() and b_txt.isdecimal()):
+        if not (is_ascii_number(a_txt) and is_ascii_number(b_txt)):
             raise GraphError(f"cannot parse family name {name!r}")
         return GraphFamily("complete_bipartite", int(a_txt), int(b_txt))
-    if not rest.isdecimal():
+    if not is_ascii_number(rest):
         raise GraphError(f"cannot parse family name {name!r}")
     kinds = {p: kind for kind, p in _FAMILY_PREFIXES.items()}
     if prefix not in kinds:

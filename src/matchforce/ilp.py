@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
+from operator import getitem
 
-from .graph import Graph
+from .graph import Graph, is_ascii_number
 from .matchings import DEFAULT_BUDGET, mask_to_edges, maximal_matching_masks
 
 
@@ -80,17 +82,68 @@ class IlpConstraint:
     pairs: Sequence[tuple[int, int]]
 
 
-@dataclass(frozen=True)
+class _Memo(dict):
+    """``fn(key)`` per key, computed the first time the key is looked up."""
+
+    def __init__(self, fn: Callable[[int], object]):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key: int):
+        value = self[key] = self._fn(key)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
 class IlpModel:
+    """The covering model, kept as the maximal matchings it comes from.
+
+    ``rows`` are the maximal matchings as edge bitmasks, in canonical order.
+    With deduplication, ``counts`` maps each distinct support (the edges on
+    which two rows differ) to the number of row pairs behind it, in
+    first-seen order, and ``labels`` holds the first such pair of each.
+    Without it, ``counts`` and ``labels`` are None and every row pair is its
+    own constraint. ``constraints`` lists the model as :class:`IlpConstraint`
+    objects, built on first read; :func:`export_lp` does not read it. Two
+    models are equal when their edge counts and constraints are.
+    """
+
     num_edges: int
-    constraints: tuple[IlpConstraint, ...]
+    rows: list[int]
+    counts: Counter[int] | None = None
+    labels: list[tuple[int, int]] | None = None
+
+    @cached_property
+    def constraints(self) -> tuple[IlpConstraint, ...]:
+        rows = self.rows
+        if self.counts is None:
+            # Pairs with one support share one columns tuple.
+            columns = _Memo(mask_to_edges)
+            return tuple(
+                IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
+                for i, row in enumerate(rows)
+                for j in range(i + 1, len(rows))
+            )
+        index = {row: i for i, row in enumerate(rows)}
+        return tuple(
+            IlpConstraint(label, mask_to_edges(key), _RowPairs(key, count, rows, index))
+            for label, (key, count) in zip(self.labels, self.counts.items())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IlpModel):
+            return NotImplemented
+        return (self.num_edges, self.constraints) == (other.num_edges, other.constraints)
+
+    def __hash__(self) -> int:
+        return hash((self.num_edges, self.constraints))
 
     def satisfied_by(self, edge_mask: int) -> bool:
         """Feasibility of a 0/1 assignment given as an edge bitmask."""
-        for constraint in self.constraints:
-            if not any(edge_mask >> j & 1 for j in constraint.columns):
-                return False
-        return True
+        if self.counts is not None:
+            return all(edge_mask & key for key in self.counts)
+        rows = self.rows
+        return all(edge_mask & (row ^ other) for i, row in enumerate(rows) for other in rows[i + 1 :])
 
 
 def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> IlpModel:
@@ -102,6 +155,8 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     support share one constraint labeled by the lexicographically first pair.
     """
     rows = maximal_matching_masks(g, budget)
+    if not dedup:
+        return IlpModel(g.m, rows)
     index = {row: i for i, row in enumerate(rows)}
     # Support -> number of row pairs behind it, in first-seen order. Each row
     # is counted against every later row in one C-level update; the supports
@@ -114,19 +169,40 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
         counts.update(map(row.__xor__, rows[i + 1 :]))
         fresh = list(islice(reversed(counts), len(counts) - before))
         labels.extend((i, index[row ^ key]) for key in reversed(fresh))
-    if dedup:
-        constraints = tuple(
-            IlpConstraint(label, mask_to_edges(key), _RowPairs(key, count, rows, index))
-            for label, (key, count) in zip(labels, counts.items())
-        )
-    else:
-        columns = {key: mask_to_edges(key) for key in counts}
-        constraints = tuple(
-            IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
-            for i, row in enumerate(rows)
-            for j in range(i + 1, len(rows))
-        )
-    return IlpModel(num_edges=g.m, constraints=constraints)
+    return IlpModel(g.m, rows, counts, labels)
+
+
+class _ByteNames(dict):
+    """Names for one 8-bit slice of the variables: each byte value maps to the
+    ``" + "``-joined names of its set bits.
+
+    Zero maps to ``""``; the other values are built together the first time
+    one of them is looked up.
+    """
+
+    def __init__(self, names: list[str]):
+        super().__init__({0: ""})
+        self._names = names
+
+    def __missing__(self, byte: int) -> str:
+        table = [""]
+        for name in self._names:
+            # Values with this (highest so far) bit set end with its name.
+            table += [f"{text} + {name}" if text else name for text in table]
+        self.update(enumerate(table))
+        return table[byte]
+
+
+def _support_renderer(names: list[str]) -> Callable[[int], str]:
+    """The ``" + "``-joined names of the set bits of a support, read in one
+    pass over its little-endian bytes."""
+    tables = [_ByteNames(names[k : k + 8]) for k in range(0, len(names), 8)]
+    width = len(tables)
+
+    def render(support: int) -> str:
+        return " + ".join(filter(None, map(getitem, tables, support.to_bytes(width, "little"))))
+
+    return render
 
 
 def export_lp(model: IlpModel) -> str:
@@ -134,21 +210,26 @@ def export_lp(model: IlpModel) -> str:
     names carry the 1-based row pair they came from."""
     names = [f"x{k}" for k in range(1, model.num_edges + 1)]
     lines = ["Minimize", f" obj: {' + '.join(names)}" if names else " obj:", "Subject To"]
-    # Constraints without deduplication share one columns tuple per support.
-    bodies: dict[tuple[int, ...], str] = {}
-    for constraint in model.constraints:
-        columns = constraint.columns
-        body = bodies.get(columns)
-        if body is None:
-            body = bodies[columns] = " + ".join(map(names.__getitem__, columns))
-        i, j = constraint.label
-        lines.append(f" c{i + 1}_{j + 1}: {body} >= 1")
-    # The lines hold every body by now; free the cache before the join.
-    del bodies
+    render = _support_renderer(names)
+    if model.counts is not None:
+        lines.extend(
+            f" c{i + 1}_{j + 1}: {render(key)} >= 1"
+            for (i, j), key in zip(model.labels, model.counts)
+        )
+    else:
+        rows = model.rows
+        bodies = _Memo(render)
+        for i, row in enumerate(rows):
+            lines.extend(
+                f" c{i + 1}_{j + 1}: {bodies[row ^ rows[j]]} >= 1" for j in range(i + 1, len(rows))
+            )
+        # The lines hold every body by now; free the cache before the join.
+        del bodies
     lines.append("Binary")
     lines.extend(f" {name}" for name in names)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    # The empty last line ends the text with a newline without copying it.
+    lines += ["End", ""]
+    return "\n".join(lines)
 
 
 def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
@@ -168,7 +249,7 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
         if len(parts) != 2:
             raise SolutionFormatError(f"line {lineno}: expected 'x<i> <value>'")
         name, value_text = parts
-        if not (name.startswith("x") and name[1:].isdecimal()):
+        if not (name.startswith("x") and is_ascii_number(name[1:])):
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
         index = int(name[1:])
         if not 1 <= index <= g.m:
@@ -178,6 +259,9 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
         if index in values:
             raise SolutionFormatError(f"line {lineno}: duplicate assignment to {name!r}")
         try:
+            # float() also reads non-ASCII digits and "_" separators.
+            if not value_text.isascii() or "_" in value_text:
+                raise ValueError(value_text)
             value = float(value_text)
         except ValueError:
             raise SolutionFormatError(

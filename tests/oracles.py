@@ -196,6 +196,20 @@ def brute_ilp_constraints(
     return out
 
 
+def reference_lp(num_edges: int, rows: list[int], dedup: bool) -> str:
+    """The LP text of the covering model, written line by line from
+    :func:`brute_ilp_constraints`: variables x1..x<num_edges>, one constraint
+    per group, named by its 1-based label."""
+    names = [f"x{k}" for k in range(1, num_edges + 1)]
+    out = ["Minimize", " obj: " + " + ".join(names) if names else " obj:", "Subject To"]
+    for (i, j), columns, _ in brute_ilp_constraints(rows, dedup):
+        out.append(f" c{i + 1}_{j + 1}: " + " + ".join(names[e] for e in columns) + " >= 1")
+    out.append("Binary")
+    out.extend(" " + name for name in names)
+    out.append("End")
+    return "".join(line + "\n" for line in out)
+
+
 def corona_psi(g: Graph, h: Graph) -> int:
     """Ψ(G∘H) from the factors, without building or enumerating the corona.
 

@@ -313,6 +313,40 @@ def test_superscript_digits_are_a_domain_error(capsys, tmp_path, k3_file, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# int() and float() read other Unicode digits and "_" separators as numbers;
+# every numeral in the input formats and family names is ASCII digits only.
+NON_ASCII_NUMERALS = {
+    "variable-arabic-indic": ("solution", "x\u0661 1\n"),
+    "value-fullwidth": ("solution", "x1 \uff11\n"),
+    "value-underscore": ("solution", "x1 0_1\n"),
+    "vertex-underscore": ("graph", "1 1_0\n"),
+    "vertex-arabic-indic": ("graph", "1 \u0662\n"),
+    "header-arabic-indic": ("graph", "n \u0663\n0 1\n"),
+    "family-arabic-indic": ("family", "K\u0663"),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_NUMERALS)
+def test_non_ascii_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
+    kind, text = NON_ASCII_NUMERALS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    argv = {
+        "solution": ["import-solution", "--in", k3_file, "--solution", str(bad)],
+        "graph": ["psi", "--in", str(bad)],
+        "family": ["sweep", "--families", text],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_vertex_keeps_its_message(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n-1 2\n")
+    code, out, err = run(capsys, "psi", "--in", str(bad))
+    assert (code, out, err) == (1, "", "error: line 2: negative vertex index in (-1, 2)\n")
+
 @pytest.fixture
 def enumerated(monkeypatch):
     """Graphs passed to ``maximal_matching_masks``, one entry per call.

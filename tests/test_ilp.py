@@ -3,8 +3,9 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matchforce import cli
+from matchforce import cli, ilp
 from matchforce.corona import corona_product
 from matchforce.forcing import is_global_forcing_set, phi_exact
 from matchforce.graph import Graph, complete, cycle, path, serialize_edge_list
@@ -16,7 +17,7 @@ from matchforce.ilp import (
 )
 from matchforce.matchings import maximal_matching_masks
 
-from oracles import brute_ilp_constraints, small_instances
+from oracles import brute_ilp_constraints, reference_lp, small_instances
 
 K3_LP = """Minimize
  obj: x1 + x2 + x3
@@ -107,6 +108,56 @@ def test_model_matches_pairwise_grouping(name, graph, dedup):
     psi = len(rows)
     assert sum(len(c.pairs) for c in model.constraints) == psi * (psi - 1) // 2
     assert build_model(graph, dedup=dedup) == model
+
+
+# K1 has no edge; P3oP3 has 17, so its last byte holds one variable; the 70
+# disjoint edges are in every maximal matching, so all supports of the last
+# graph sit on the triangle's edges x71..x73, past the first eight bytes.
+MATCHING_AND_TRIANGLE = tuple((2 * k, 2 * k + 1) for k in range(70)) + ((140, 141), (141, 142), (142, 140))
+EXPORT_GRAPHS = ORACLE_GRAPHS + [
+    ("K1", complete(1)),
+    ("P3oP3", corona_product(path(3), path(3)).graph),
+    ("70K2+K3", Graph(n=143, edges=MATCHING_AND_TRIANGLE)),
+]
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "nodedup"])
+@pytest.mark.parametrize("name,graph", EXPORT_GRAPHS, ids=[n for n, _ in EXPORT_GRAPHS])
+def test_export_matches_the_reference_writer(name, graph, dedup):
+    rows = maximal_matching_masks(graph)
+    text = export_lp(build_model(graph, dedup=dedup))
+    assert text == reference_lp(graph.m, rows, dedup)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 200).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), max_size=8))
+    )
+)
+def test_support_renderer_joins_the_names_of_set_bits(case):
+    m, masks = case
+    names = [f"x{k}" for k in range(1, m + 1)]
+    render = ilp._support_renderer(names)
+    for mask in masks:
+        assert render(mask) == " + ".join(names[e] for e in range(m) if mask >> e & 1)
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-dedup",)], ids=["dedup", "nodedup"])
+def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_path):
+    class Forbidden:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("export-lp built an IlpConstraint")
+
+    def forbidden(model):
+        raise AssertionError("export-lp read IlpModel.constraints")
+
+    monkeypatch.setattr(ilp, "IlpConstraint", Forbidden)
+    monkeypatch.setattr(ilp.IlpModel, "constraints", property(forbidden))
+    source = tmp_path / "C4oK2.txt"
+    source.write_text(serialize_edge_list(corona_product(cycle(4), complete(2)).graph))
+    assert cli.main(["export-lp", *extra, "--in", str(source)]) == 0
+    assert capsys.readouterr().out.startswith("Minimize\n")
 
 
 class TestExport:
