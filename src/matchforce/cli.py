@@ -26,6 +26,7 @@ from .graph import (
     GraphFamily,
     family_label,
     generate,
+    is_ascii_number,
     parse_edge_list,
     parse_family_name,
     serialize_edge_list,
@@ -103,8 +104,8 @@ def _parse_edge_flag(text: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
+        return [_ascii_int(tok) for tok in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise GraphError(f"--edges expects comma-separated integers, got {text!r}") from None
 
 
@@ -192,11 +193,21 @@ def _cmd_randomly_matchable(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII numerals: surrounding spaces, an optional sign,
+    then ASCII digits. ``int()`` also reads other Unicode digits and ``_``
+    separators."""
+    token = text.strip()
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if is_ascii_number(token[1:] if token.startswith(("+", "-")) else token):
+            return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = _ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -224,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a named graph family as edge-list text")
     p.add_argument("--family", required=True, choices=list(FAMILY_KINDS))
-    p.add_argument("--n", type=int, default=None, help="vertex count")
-    p.add_argument("--a", type=int, default=None, help="first part size (complete_bipartite)")
-    p.add_argument("--b", type=int, default=None, help="second part size (complete_bipartite)")
+    p.add_argument("--n", type=_ascii_int, default=None, help="vertex count")
+    p.add_argument("--a", type=_ascii_int, default=None, help="first part size (complete_bipartite)")
+    p.add_argument("--b", type=_ascii_int, default=None, help="second part size (complete_bipartite)")
     p.add_argument("-o", "--out", default=None, help="write output to this path instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verify bounds over all pairs of named families, as CSV")
     p.add_argument("--families", nargs="+", required=True, help="family names such as K1 K2 P3 C4 K2,2")
-    p.add_argument("--max-n", type=int, default=None, help="skip pairs whose corona has more vertices")
+    p.add_argument("--max-n", type=_ascii_int, default=None, help="skip pairs whose corona has more vertices")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from operator import getitem
 
@@ -29,8 +29,7 @@ class _RowPairs:
     support, in lexicographic order.
 
     The count is known when the model is built; the pairs themselves are
-    listed on demand, in one pass over the rows. It compares equal to the
-    tuple of its pairs.
+    listed on demand, in one pass over the rows.
     """
 
     __slots__ = ("_support", "_count", "_rows", "_index")
@@ -51,20 +50,6 @@ class _RowPairs:
             if j is not None and j > i:
                 yield (i, j)
 
-    def __getitem__(self, k):
-        return tuple(self)[k]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _RowPairs)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 @dataclass(frozen=True)
 class IlpConstraint:
@@ -79,22 +64,10 @@ class IlpConstraint:
 
     label: tuple[int, int]
     columns: tuple[int, ...]
-    pairs: Sequence[tuple[int, int]]
+    pairs: Collection[tuple[int, int]]
 
 
-class _Memo(dict):
-    """``fn(key)`` per key, computed the first time the key is looked up."""
-
-    def __init__(self, fn: Callable[[int], object]):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key: int):
-        value = self[key] = self._fn(key)
-        return value
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IlpModel:
     """The covering model, kept as the maximal matchings it comes from.
 
@@ -105,7 +78,8 @@ class IlpModel:
     Without it, ``counts`` and ``labels`` are None and every row pair is its
     own constraint. ``constraints`` lists the model as :class:`IlpConstraint`
     objects, built on first read; :func:`export_lp` does not read it. Two
-    models are equal when their edge counts and constraints are.
+    models are equal when their fields are, so a model built with
+    deduplication never equals one built without.
     """
 
     num_edges: int
@@ -118,9 +92,9 @@ class IlpModel:
         rows = self.rows
         if self.counts is None:
             # Pairs with one support share one columns tuple.
-            columns = _Memo(mask_to_edges)
+            columns = cache(mask_to_edges)
             return tuple(
-                IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
+                IlpConstraint((i, j), columns(row ^ rows[j]), ((i, j),))
                 for i, row in enumerate(rows)
                 for j in range(i + 1, len(rows))
             )
@@ -129,14 +103,6 @@ class IlpModel:
             IlpConstraint(label, mask_to_edges(key), _RowPairs(key, count, rows, index))
             for label, (key, count) in zip(self.labels, self.counts.items())
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IlpModel):
-            return NotImplemented
-        return (self.num_edges, self.constraints) == (other.num_edges, other.constraints)
-
-    def __hash__(self) -> int:
-        return hash((self.num_edges, self.constraints))
 
     def satisfied_by(self, edge_mask: int) -> bool:
         """Feasibility of a 0/1 assignment given as an edge bitmask."""
@@ -218,10 +184,10 @@ def export_lp(model: IlpModel) -> str:
         )
     else:
         rows = model.rows
-        bodies = _Memo(render)
+        bodies = cache(render)
         for i, row in enumerate(rows):
             lines.extend(
-                f" c{i + 1}_{j + 1}: {bodies[row ^ rows[j]]} >= 1" for j in range(i + 1, len(rows))
+                f" c{i + 1}_{j + 1}: {bodies(row ^ rows[j])} >= 1" for j in range(i + 1, len(rows))
             )
         # The lines hold every body by now; free the cache before the join.
         del bodies

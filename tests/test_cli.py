@@ -341,6 +341,50 @@ def test_non_ascii_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# int() reads the same numerals in the integer flags; each flag takes ASCII
+# digits only, after optional surrounding spaces and a sign.
+INTEGER_FLAGS = {
+    "edges": ["verify-forcing", "--in", "{k3}", "--edges", "0,{bad}"],
+    "n": ["gen", "--family", "path", "--n", "{bad}"],
+    "a": ["gen", "--family", "complete_bipartite", "--a", "{bad}", "--b", "2"],
+    "b": ["gen", "--family", "complete_bipartite", "--a", "2", "--b", "{bad}"],
+    "max-n": ["sweep", "--families", "K1", "--max-n", "{bad}"],
+    "budget": ["psi", "--in", "{k3}", "--budget", "{bad}"],
+    "node-limit": ["phi", "--in", "{k3}", "--node-limit", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("bad", ["\u0661", "\uff11", "1_0", "1\u0660", "+-1", "x"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flags_read_ascii_digits_only(capsys, k3_file, flag, bad):
+    argv = [arg.format(k3=k3_file, bad=bad) for arg in INTEGER_FLAGS[flag]]
+    code, out, err = run(capsys, *argv)
+    assert out == "" and "Traceback" not in err
+    if flag == "edges":
+        assert code == 1
+        assert err == f"error: --edges expects comma-separated integers, got '0,{bad}'\n"
+    else:
+        assert code == 2
+        assert err.startswith("usage: ")
+        assert f"argument --{flag}: invalid int value: {bad!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["gen", "--family", "path", "--n", " +3 "], (0, "n 3\n0 1\n1 2\n", "")),
+        (["psi", "--in", "{k3}", "--budget", " 10"], (0, "3\n", "")),
+        (["verify-forcing", "--in", "{k3}", "--edges", "0, 1"], (0, "true\n", "")),
+        (
+            ["verify-forcing", "--in", "{k3}", "--edges", "-1"],
+            (1, "", "error: edge index -1 out of range for graph with 3 edges\n"),
+        ),
+    ],
+)
+def test_integer_flags_keep_spaces_and_sign(capsys, k3_file, argv, want):
+    assert run(capsys, *[arg.format(k3=k3_file) for arg in argv]) == want
+
+
 def test_negative_vertex_keeps_its_message(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n-1 2\n")

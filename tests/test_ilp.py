@@ -76,9 +76,15 @@ class TestBuildModel:
         supports = [c.columns for c in deduped.constraints]
         assert len(set(supports)) == len(supports)
         for constraint in deduped.constraints:
-            assert constraint.label == min(constraint.pairs) == constraint.pairs[0]
-            listed = tuple(constraint.pairs)
-            assert constraint.pairs == listed and hash(constraint.pairs) == hash(listed)
+            assert constraint.label == min(constraint.pairs) == next(iter(constraint.pairs))
+
+    def test_models_compare_by_their_fields(self):
+        assert build_model(complete(3)) == build_model(complete(3))
+        assert build_model(complete(3), dedup=False) == build_model(complete(3), dedup=False)
+        assert build_model(complete(3)) != build_model(complete(3), dedup=False)
+        assert build_model(complete(3)) != build_model(path(4))
+        with pytest.raises(TypeError):
+            hash(build_model(complete(3)))
 
     @pytest.mark.parametrize("dedup", [True, False])
     def test_feasibility_matches_forcing_predicate(self, dedup):
@@ -158,6 +164,28 @@ def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_
     source.write_text(serialize_edge_list(corona_product(cycle(4), complete(2)).graph))
     assert cli.main(["export-lp", *extra, "--in", str(source)]) == 0
     assert capsys.readouterr().out.startswith("Minimize\n")
+
+
+def test_no_dedup_export_renders_each_support_once(monkeypatch):
+    calls = 0
+    make_renderer = ilp._support_renderer
+
+    def counting_renderer(names):
+        render = make_renderer(names)
+
+        def counted(support):
+            nonlocal calls
+            calls += 1
+            return render(support)
+
+        return counted
+
+    monkeypatch.setattr(ilp, "_support_renderer", counting_renderer)
+    g = corona_product(cycle(4), complete(2)).graph
+    text = export_lp(build_model(g, dedup=False))
+    psi = len(maximal_matching_masks(g))
+    assert text.count(">= 1") == psi * (psi - 1) // 2
+    assert calls == len(build_model(g).counts)
 
 
 class TestExport:
