@@ -26,9 +26,9 @@ from .graph import (
     GraphFamily,
     family_label,
     generate,
-    is_ascii_number,
     parse_edge_list,
     parse_family_name,
+    read_ascii_int,
     serialize_edge_list,
 )
 
@@ -194,16 +194,13 @@ def _cmd_randomly_matchable(args: argparse.Namespace) -> int:
 
 
 def _ascii_int(text: str) -> int:
-    """``int(text)`` for ASCII numerals: surrounding spaces, an optional sign,
-    then ASCII digits. ``int()`` also reads other Unicode digits and ``_``
-    separators."""
+    """An integer flag: surrounding spaces, an optional sign, then a numeral
+    that :func:`read_ascii_int` reads."""
     token = text.strip()
-    try:
-        if is_ascii_number(token[1:] if token.startswith(("+", "-")) else token):
-            return int(token)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = read_ascii_int(token[1:] if token.startswith(("+", "-")) else token)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if token.startswith("-") else value
 
 
 def _positive_int(text: str) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -43,10 +44,17 @@ class Graph:
         return len(self.edges)
 
 
-def is_ascii_number(token: str) -> bool:
-    """Whether ``token`` is a run of ASCII digits: ``int()`` would also read
-    other Unicode digits and ``_`` separators."""
-    return token.isascii() and token.isdigit()
+def read_ascii_int(token: str) -> int | None:
+    """The value of ``token`` if it is a run of ASCII digits, else None.
+
+    ``int()`` also reads other Unicode digits, ``_`` separators, a sign and
+    surrounding spaces; none of them is a numeral here. A run longer than
+    ``sys.get_int_max_str_digits()`` is None too, where ``int()`` raises.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    limit = sys.get_int_max_str_digits()
+    return None if limit and len(token) > limit else int(token)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -67,9 +75,9 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if not saw_data and tokens[0] == "n":
-            if len(tokens) != 2 or not is_ascii_number(tokens[1]):
+            declared_n = read_ascii_int(tokens[1]) if len(tokens) == 2 else None
+            if declared_n is None:
                 raise GraphError(f"line {lineno}: malformed header, expected 'n <count>'")
-            declared_n = int(tokens[1])
             saw_data = True
             continue
         saw_data = True
@@ -191,16 +199,17 @@ def parse_family_name(name: str) -> GraphFamily:
         raise GraphError(f"cannot parse family name {name!r}")
     prefix, rest = name[0].upper(), name[1:]
     if prefix == "K" and "," in rest:
-        a_txt, b_txt = rest.split(",", 1)
-        if not (is_ascii_number(a_txt) and is_ascii_number(b_txt)):
+        a, b = map(read_ascii_int, rest.split(",", 1))
+        if a is None or b is None:
             raise GraphError(f"cannot parse family name {name!r}")
-        return GraphFamily("complete_bipartite", int(a_txt), int(b_txt))
-    if not is_ascii_number(rest):
+        return GraphFamily("complete_bipartite", a, b)
+    a = read_ascii_int(rest)
+    if a is None:
         raise GraphError(f"cannot parse family name {name!r}")
     kinds = {p: kind for kind, p in _FAMILY_PREFIXES.items()}
     if prefix not in kinds:
         raise GraphError(f"unknown family prefix in {name!r}")
-    return GraphFamily(kinds[prefix], int(rest))
+    return GraphFamily(kinds[prefix], a)
 
 
 def family_label(family: GraphFamily) -> str:

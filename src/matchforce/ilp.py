@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from itertools import islice
 from operator import getitem
 
-from .graph import Graph, is_ascii_number
+from .graph import Graph, read_ascii_int
 from .matchings import DEFAULT_BUDGET, mask_to_edges, maximal_matching_masks
 
 
@@ -138,31 +138,18 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     return IlpModel(g.m, rows, counts, labels)
 
 
-class _ByteNames(dict):
-    """Names for one 8-bit slice of the variables: each byte value maps to the
-    ``" + "``-joined names of its set bits.
-
-    Zero maps to ``""``; the other values are built together the first time
-    one of them is looked up.
-    """
-
-    def __init__(self, names: list[str]):
-        super().__init__({0: ""})
-        self._names = names
-
-    def __missing__(self, byte: int) -> str:
-        table = [""]
-        for name in self._names:
-            # Values with this (highest so far) bit set end with its name.
-            table += [f"{text} + {name}" if text else name for text in table]
-        self.update(enumerate(table))
-        return table[byte]
-
-
 def _support_renderer(names: list[str]) -> Callable[[int], str]:
     """The ``" + "``-joined names of the set bits of a support, read in one
     pass over its little-endian bytes."""
-    tables = [_ByteNames(names[k : k + 8]) for k in range(0, len(names), 8)]
+    # One table per 8-name slice: each byte value indexes the joined names
+    # of its set bits, "" for zero.
+    tables = []
+    for k in range(0, len(names), 8):
+        table = [""]
+        for name in names[k : k + 8]:
+            # Values with this (highest so far) bit set end with its name.
+            table += [f"{text} + {name}" if text else name for text in table]
+        tables.append(table)
     width = len(tables)
 
     def render(support: int) -> str:
@@ -215,9 +202,9 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
         if len(parts) != 2:
             raise SolutionFormatError(f"line {lineno}: expected 'x<i> <value>'")
         name, value_text = parts
-        if not (name.startswith("x") and is_ascii_number(name[1:])):
+        index = read_ascii_int(name[1:]) if name.startswith("x") else None
+        if index is None:
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
-        index = int(name[1:])
         if not 1 <= index <= g.m:
             raise SolutionFormatError(
                 f"line {lineno}: variable {name!r} out of range for {g.m} edges"

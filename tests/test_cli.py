@@ -11,7 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matchforce
 from matchforce import matchings
@@ -326,19 +326,51 @@ NON_ASCII_NUMERALS = {
 }
 
 
-@pytest.mark.parametrize("case", NON_ASCII_NUMERALS)
-def test_non_ascii_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
-    kind, text = NON_ASCII_NUMERALS[case]
+def _numeral_argv(tmp_path, k3_file, kind, text):
+    """A command that reads ``text`` as a solution file, a graph file or a
+    family name."""
     bad = tmp_path / "bad.txt"
     bad.write_text(text, encoding="utf-8")
-    argv = {
+    return {
         "solution": ["import-solution", "--in", k3_file, "--solution", str(bad)],
         "graph": ["psi", "--in", str(bad)],
         "family": ["sweep", "--families", text],
     }[kind]
+
+
+@pytest.mark.parametrize("case", NON_ASCII_NUMERALS)
+def test_non_ascii_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
+    code, out, err = run(capsys, *_numeral_argv(tmp_path, k3_file, *NON_ASCII_NUMERALS[case]))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# int() raises past sys.get_int_max_str_digits() (4,300 by default); a longer
+# numeral is malformed input like any other.
+_LONG_NUMERAL = "9" * 5000
+LONG_NUMERALS = {
+    "header": ("graph", f"n {_LONG_NUMERAL}\n0 1\n"),
+    "family": ("family", f"K{_LONG_NUMERAL}"),
+    "bipartite-part": ("family", f"K2,{_LONG_NUMERAL}"),
+    "variable": ("solution", f"x{_LONG_NUMERAL} 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_NUMERALS)
+def test_long_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
+    argv = _numeral_argv(tmp_path, k3_file, *LONG_NUMERALS[case])
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    src = str(Path(matchforce.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "matchforce", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
 
 
 # int() reads the same numerals in the integer flags; each flag takes ASCII
@@ -441,10 +473,11 @@ def test_declared_vertex_count_costs_no_memory(capsys, tmp_path, argv):
 
 
 # Vertex indices are 15 or below, plus one far index: a graph costs memory
-# for its edges only, not for every vertex the far index declares.
-_GRAPH_TOKENS = [b"n", b"#", b"-1", b"1.5", b"x", b"\xff", b"\xc3", b"\x80", b"200000"] + [
-    str(v).encode() for v in range(16)
-]
+# for its edges only, not for every vertex the far index declares. The
+# long numeral is longer than int() reads.
+_GRAPH_TOKENS = [
+    b"n", b"#", b"-1", b"1.5", b"x", b"\xff", b"\xc3", b"\x80", b"200000", _LONG_NUMERAL.encode()
+] + [str(v).encode() for v in range(16)]
 # "\udcff" is written out as the lone byte 0xff, which is not UTF-8.
 _SOLUTION_VALUES = ["0", "1", "2", "0.5", "0.9999999", "nan", "inf", "-inf", "1e400", "junk", "\udcff"]
 _EDGE_FLAGS = ["", "0", "0,1", "1,2,3", "-1", "99", "a", "1,,2"]
@@ -462,6 +495,7 @@ def cli_inputs(draw):
 
 
 @given(cli_inputs())
+@example((b"n " + _LONG_NUMERAL.encode() + b"\n0 1", b"", ""))
 @settings(max_examples=150, deadline=None)
 def test_every_exit_code_is_0_1_or_2(inputs):
     graph, solution, edge_flag = inputs

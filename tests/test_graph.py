@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from matchforce.graph import (
     parse_edge_list,
     parse_family_name,
     path,
+    read_ascii_int,
     recognize_structure,
     serialize_edge_list,
     star,
@@ -79,6 +81,31 @@ class TestParsing:
     def test_empty_text_gives_empty_graph(self):
         g = parse_edge_list("")
         assert (g.n, g.m) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "token,want",
+    [
+        ("0", 0),
+        ("007", 7),
+        ("", None),
+        ("+1", None),
+        ("-1", None),
+        ("1_0", None),
+        ("\u0662", None),
+        ("\uff11", None),
+        (" 1", None),
+    ],
+)
+def test_read_ascii_int(token, want):
+    assert read_ascii_int(token) == want
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+def test_read_ascii_int_stops_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert read_ascii_int("7" * limit) == int("7" * limit)
+    assert read_ascii_int("7" * (limit + 1)) is None
 
 
 class TestFamilies:
