@@ -143,20 +143,27 @@ class BoundsReport:
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
 
-    @classmethod
-    def dict_keys(cls) -> list[str]:
-        """The keys of :meth:`to_dict`, in order."""
-        return [_DICT_KEYS.get(f.name, f.name) for f in fields(cls)] + ["all_pass"]
-
     def to_dict(self) -> dict[str, object]:
-        values = [getattr(self, f.name) for f in fields(self)]
-        out = dict(zip(self.dict_keys(), values + [self.all_pass()]))
+        out = {_RENAMED.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
         out["verdicts"] = dict(self.verdicts)
         out["gaps"] = dict(self.gaps)
+        out["all_pass"] = self.all_pass()
         return out
 
+    def csv_row(self) -> list[str]:
+        """The sweep CSV cells under :data:`CSV_COLUMNS`: blank for None and
+        for a check that was not run, ``true`` or ``false`` for a bool."""
+        cells = []
+        for key, value in self.to_dict().items():
+            cells += [value.get(c) for c in GRADED_CHECKS] if key in _PER_CHECK else [value]
+        return [
+            "" if v is None else str(v).lower() if isinstance(v, bool) else str(v) for v in cells
+        ]
 
-_DICT_KEYS = {"g_name": "g", "h_name": "h"}
+
+_RENAMED = {"g_name": "g", "h_name": "h"}
+# The to_dict keys that hold one value per check.
+_PER_CHECK = ("verdicts", "gaps")
 
 
 def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, int | None]:
@@ -180,6 +187,19 @@ def _exact_factor(graph: Graph, name: str, budget: int) -> tuple[MatchingSummary
             f"{DEFAULT_MAX_EDGES} edges and {DEFAULT_NODE_LIMIT} nodes"
         )
     return summary, phi
+
+
+# The checks that verify_bounds grades against exact values, in column order.
+# lower_le_upper compares two bounds with each other and has no column.
+GRADED_CHECKS = ("nu_formula", "upper_complement", "upper_sum", "lower_randomly")
+
+# The sweep CSV header: the to_dict keys, with verdicts and gaps expanded
+# into one verdict_* and one gap_* column per graded check.
+CSV_COLUMNS = tuple(
+    column
+    for key in [_RENAMED.get(f.name, f.name) for f in fields(BoundsReport)] + ["all_pass"]
+    for column in ([f"{key[:-1]}_{c}" for c in GRADED_CHECKS] if key in _PER_CHECK else [key])
+)
 
 
 def verify_bounds(

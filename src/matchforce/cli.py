@@ -25,6 +25,7 @@ from .graph import (
     GraphError,
     GraphFamily,
     family_label,
+    family_order,
     generate,
     parse_edge_list,
     parse_family_name,
@@ -144,46 +145,21 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    factors = []
-    for name in args.families:
-        family = parse_family_name(name)
-        factors.append((family_label(family), generate(family)))
+    families = [(family, family_order(family)) for family in map(parse_family_name, args.families)]
+    # Any corona with a factor of order n has order >= s * (1 + n), s the least order.
+    smallest = min(order for _, order in families)
+    factors = [
+        (family_label(family), generate(family))
+        for family, order in families
+        if args.max_n is None or smallest * (1 + order) <= args.max_n
+    ]
     reports = bounds_mod.sweep_reports(factors, max_corona_order=args.max_n, budget=args.budget)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    # The header flattens a record whose values are all empty.
-    header = _csv_record(dict.fromkeys(bounds_mod.BoundsReport.dict_keys(), {}))
-    writer.writerow(header.keys())
-    for report in reports:
-        writer.writerow(_csv_cell(v) for v in _csv_record(report.to_dict()).values())
+    writer.writerow(bounds_mod.CSV_COLUMNS)
+    writer.writerows(report.csv_row() for report in reports)
     _emit(buf.getvalue(), args.out)
     return 0 if all(report.all_pass() for report in reports) else 1
-
-
-# The checks that get a verdict and a gap column in the sweep CSV, in order.
-_CSV_CHECKS = ("nu_formula", "upper_complement", "upper_sum", "lower_randomly")
-
-
-def _csv_record(record: dict) -> dict[str, object]:
-    """A ``BoundsReport.to_dict()`` record flattened into sweep CSV columns:
-    ``verdicts`` and ``gaps`` become one ``verdict_*`` and one ``gap_*``
-    column per check, blank where the check was not run."""
-    flat: dict[str, object] = {}
-    for key, value in record.items():
-        if key in ("verdicts", "gaps"):
-            for check in _CSV_CHECKS:
-                flat[f"{key[:-1]}_{check}"] = value.get(check)
-        else:
-            flat[key] = value
-    return flat
-
-
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def _cmd_randomly_matchable(args: argparse.Namespace) -> int:

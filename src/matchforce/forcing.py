@@ -10,7 +10,7 @@ adds a row only once an answer misses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -139,20 +139,14 @@ def _greedy_columns(cols: list[int], t: int) -> list[int]:
 
 def phi_greedy(g: Graph, budget: int = DEFAULT_BUDGET) -> ForcingResult:
     """Greedy upper bound; the result is a verified forcing set, not optimal."""
-    return _greedy_result(maximal_matching_masks(g, budget), g.m)
+    rows = maximal_matching_masks(g, budget)
+    greedy = _greedy_set(rows, g.m)
+    return ForcingResult(greedy, len(greedy), False, (len(rows) - 1).bit_length(), len(greedy), 0)
 
 
-def _greedy_result(rows: list[int], m: int) -> ForcingResult:
-    """:func:`phi_greedy` on the Ψ >= 1 maximal matchings of a graph with m edges."""
-    chosen = tuple(sorted(_greedy_columns(_column_masks(rows, m), len(rows))))
-    return ForcingResult(
-        edges=chosen,
-        size=len(chosen),
-        optimal=False,
-        lower_bound=(len(rows) - 1).bit_length(),
-        greedy_size=len(chosen),
-        nodes=0,
-    )
+def _greedy_set(rows: list[int], m: int) -> tuple[int, ...]:
+    """The sorted greedy forcing set of the Ψ >= 1 maximal matchings ``rows``."""
+    return tuple(sorted(_greedy_columns(_column_masks(rows, m), len(rows))))
 
 
 def phi_exact(
@@ -183,12 +177,10 @@ def phi_exact(
         )
     rows = maximal_matching_masks(g, budget)
     answer, packing, nodes = _min_forcing_set(rows, edge_neighbourhoods(g), node_limit)
-    greedy = _greedy_result(rows, g.m)
-    greedy = replace(greedy, lower_bound=max(greedy.lower_bound, packing), nodes=nodes)
-    if answer is None:
-        return greedy
-    edges = mask_to_edges(answer)
-    return replace(greedy, edges=edges, size=len(edges), optimal=True)
+    greedy = _greedy_set(rows, g.m)
+    edges = greedy if answer is None else mask_to_edges(answer)
+    lower = max((len(rows) - 1).bit_length(), packing)
+    return ForcingResult(edges, len(edges), answer is not None, lower, len(greedy), nodes)
 
 
 def _min_forcing_set(
@@ -199,12 +191,13 @@ def _min_forcing_set(
     forcing set as an edge mask, or None once ``node_limit`` nodes run out;
     the root packing of disjoint swap pairs; the nodes over all rounds."""
     supports = _swap_pairs(rows, near)
+    parts = _components(supports)
     # Packings of disjoint components add up.
-    packing = sum(_packing(part, 0)[0] for part in _components(supports))
+    packing = sum(_packing(part, 0)[0] for part in parts)
     nodes = 0
     while True:
         answer = 0
-        for part in _components(supports):
+        for part in parts:
             hit, used = _min_hitting_set(part, node_limit - nodes)
             nodes += used
             if hit is None:
@@ -214,6 +207,7 @@ def _min_forcing_set(
         if not missed:
             return answer, packing, nodes
         supports |= missed
+        parts = _components(supports)
 
 
 def _components(supports: set[int]) -> list[list[int]]:

@@ -131,6 +131,24 @@ class GraphFamily:
     b: int | None = None
 
 
+def family_order(family: GraphFamily) -> int:
+    """The vertex count of ``generate(family)``, after the same checks, at no cost."""
+    kind, a, b = family.kind, family.a, family.b
+    if kind not in FAMILY_KINDS:
+        raise GraphError(f"unknown family {kind!r}")
+    if kind == "complete_bipartite":
+        if b is None or a < 1 or b < 1:
+            raise GraphError("complete_bipartite requires part sizes a, b >= 1")
+        return a + b
+    if b is not None:
+        raise GraphError(f"family {kind!r} takes a single parameter")
+    if a < 1:
+        raise GraphError(f"family {kind!r} requires n >= 1, got {a}")
+    if kind == "cycle" and a < 3:
+        raise GraphError(f"cycle requires n >= 3, got {a}")
+    return a
+
+
 def generate(family: GraphFamily) -> Graph:
     """Build the graph of a family with deterministic vertex and edge order.
 
@@ -138,23 +156,13 @@ def generate(family: GraphFamily) -> Graph:
     lexicographic pair order, and complete bipartite graphs use parts
     ``{0..a-1}`` and ``{a..a+b-1}`` with lexicographic edges.
     """
+    family_order(family)  # raises on bad parameters
     kind, a, b = family.kind, family.a, family.b
-    if kind not in FAMILY_KINDS:
-        raise GraphError(f"unknown family {kind!r}")
     if kind == "complete_bipartite":
-        if b is None or a < 1 or b < 1:
-            raise GraphError("complete_bipartite requires part sizes a, b >= 1")
-        edges = tuple((i, a + j) for i in range(a) for j in range(b))
-        return Graph(n=a + b, edges=edges)
-    if b is not None:
-        raise GraphError(f"family {kind!r} takes a single parameter")
-    if a < 1:
-        raise GraphError(f"family {kind!r} requires n >= 1, got {a}")
+        return Graph(n=a + b, edges=tuple((i, a + j) for i in range(a) for j in range(b)))
     if kind == "path":
         return Graph(n=a, edges=tuple((i, i + 1) for i in range(a - 1)))
     if kind == "cycle":
-        if a < 3:
-            raise GraphError(f"cycle requires n >= 3, got {a}")
         return Graph(n=a, edges=tuple((i, (i + 1) % a) for i in range(a)))
     if kind == "complete":
         return Graph(n=a, edges=tuple((i, j) for i in range(a) for j in range(i + 1, a)))

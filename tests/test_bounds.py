@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from matchforce.bounds import (
+    GRADED_CHECKS,
     corollary_lower_bounds,
     corona_matching_number,
     corona_phi_lower_randomly,
@@ -17,7 +18,15 @@ from matchforce.bounds import (
 )
 from matchforce.corona import corona_product
 from matchforce.forcing import phi_exact
-from matchforce.graph import complete, complete_bipartite, cycle, path, star
+from matchforce.graph import (
+    complete,
+    complete_bipartite,
+    cycle,
+    generate,
+    parse_family_name,
+    path,
+    star,
+)
 from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
 from oracles import brute_min_forcing, projections_distinct
@@ -217,6 +226,18 @@ def test_sweep_covers_all_pairs_and_passes():
         ("K2", "K2"),
         ("P3", "K1"),
     }
+
+
+def test_every_graded_check_has_a_column():
+    names = ("K1", "K2", "K3", "P3", "P4", "C4", "K2,2")  # the bounds-sweep benchmark grid
+    factors = [(name, generate(parse_family_name(name))) for name in names]
+    reports = sweep_reports(factors, max_corona_order=12)
+    checks = set(GRADED_CHECKS)
+    for report in reports:
+        assert set(report.gaps) <= checks
+        # lower_le_upper compares two bounds and has no gap or column.
+        assert set(report.verdicts) - {"lower_le_upper"} <= checks
+    assert set().union(*(report.gaps for report in reports)) == checks
 
 
 # Pairs on which ``upper_sum`` falls below the exact forcing number, the one

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import matchforce
 from matchforce import matchings
-from matchforce.bounds import verify_bounds
+from matchforce.bounds import GRADED_CHECKS, verify_bounds
 from matchforce.cli import build_parser, main
 from matchforce.corona import corona_product
 from matchforce.graph import complete, parse_edge_list, serialize_edge_list, star
@@ -192,6 +194,12 @@ class TestLpRoundTrip:
         assert err == f"error: line 1: value {value} is not binary within tolerance\n"
 
 
+# The bounds-sweep benchmark grid, and the SHA-256 of its sweep stdout copied
+# from bench/goldens.json (key sweep).
+SWEEP_GRID = ("K1", "K2", "K3", "P3", "P4", "C4", "K2,2")
+SWEEP_DIGEST = "d3ef2c85e46f6b73e68c9eb660cd0d5a44e30219ecb24b39ba78cd20333c43b4"
+
+
 class TestBoundsAndSweep:
     def test_bounds_json(self, capsys, k2_file):
         code, out, _ = run(capsys, "bounds", "--g", k2_file, "--h", k2_file)
@@ -227,6 +235,38 @@ class TestBoundsAndSweep:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 3  # K2oK2 has 6 vertices and is skipped
+
+    def test_sweep_bytes_match_the_golden(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--families", *SWEEP_GRID, "--max-n", "12")
+        assert (code, len(out.encode())) == (1, 2499)
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGEST
+
+    def test_sweep_columns_are_the_bounds_keys(self, capsys, k2_file):
+        code, out, _ = run(capsys, "bounds", "--g", k2_file, "--h", k2_file)
+        expected = []
+        for key in json.loads(out):
+            if key in ("verdicts", "gaps"):
+                expected += [f"{key[:-1]}_{check}" for check in GRADED_CHECKS]
+            else:
+                expected.append(key)
+        code, out, _ = run(capsys, "sweep", "--families", *SWEEP_GRID, "--max-n", "12")
+        assert next(csv.reader(io.StringIO(out))) == expected
+
+    def test_sweep_builds_only_the_factors_it_grades(self, capsys):
+        # K600 is in no pair within --max-n 4, so its 179,700 edges cost nothing.
+        tracemalloc.start()
+        try:
+            skipped = run(capsys, "sweep", "--families", "K1", "K600", "--max-n", "4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert skipped == run(capsys, "sweep", "--families", "K1", "--max-n", "4")
+        assert skipped[0] == 0
+        assert peak < 2_000_000
+
+    def test_sweep_checks_the_factors_it_skips(self, capsys):
+        code, out, err = run(capsys, "sweep", "--families", "K1", "C2", "--max-n", "2")
+        assert (code, out, err) == (1, "", "error: cycle requires n >= 3, got 2\n")
 
 
 class TestRandomlyMatchable:

@@ -16,6 +16,7 @@ from matchforce.graph import (
     cycle,
     empty,
     family_label,
+    family_order,
     generate,
     parse_edge_list,
     parse_family_name,
@@ -27,6 +28,15 @@ from matchforce.graph import (
 )
 
 from oracles import brute_structure, degrees
+
+INVALID_FAMILIES = [
+    GraphFamily("cycle", 2),
+    GraphFamily("path", 0),
+    GraphFamily("complete_bipartite", 0, 2),
+    GraphFamily("complete_bipartite", 2),
+    GraphFamily("path", 3, 4),
+    GraphFamily("nonsense", 3),
+]
 
 
 class TestGraphConstruction:
@@ -126,20 +136,18 @@ class TestFamilies:
         assert star(4).edges == ((0, 1), (0, 2), (0, 3))
         assert empty(3).m == 0
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            GraphFamily("cycle", 2),
-            GraphFamily("path", 0),
-            GraphFamily("complete_bipartite", 0, 2),
-            GraphFamily("complete_bipartite", 2),
-            GraphFamily("path", 3, 4),
-            GraphFamily("nonsense", 3),
-        ],
-    )
+    @pytest.mark.parametrize("family", INVALID_FAMILIES)
     def test_invalid_parameters(self, family):
         with pytest.raises(GraphError):
             generate(family)
+
+    @pytest.mark.parametrize("family", INVALID_FAMILIES)
+    def test_family_order_checks_as_generate_does(self, family):
+        with pytest.raises(GraphError) as ordered:
+            family_order(family)
+        with pytest.raises(GraphError) as generated:
+            generate(family)
+        assert str(ordered.value) == str(generated.value)
 
     def test_parse_family_name_round_trip(self):
         for name in ["K1", "K4", "P3", "C5", "S4", "E2", "K2,3"]:
@@ -158,6 +166,11 @@ ALL_SMALL_FAMILIES = (
     + [GraphFamily("empty", n) for n in range(1, 9)]
     + [GraphFamily("complete_bipartite", a, b) for a in range(1, 5) for b in range(1, 5)]
 )
+
+
+@pytest.mark.parametrize("family", ALL_SMALL_FAMILIES, ids=family_label)
+def test_family_order_is_the_vertex_count(family):
+    assert family_order(family) == generate(family).n
 
 
 @pytest.mark.parametrize("family", ALL_SMALL_FAMILIES, ids=family_label)
