@@ -76,15 +76,17 @@ def _cmd_corona(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _read_graph(args.infile)
+    if not args.json:
+        summary = matchings.summarize_matchings(g, args.budget)
+        _emit(f"{getattr(summary, args.stat)}\n", args.out)
+        return 0
     masks = matchings.maximal_matching_masks(g, args.budget)
-    summary = matchings._summarize_masks(masks, g.n)
-    value = getattr(summary, args.stat)
-    if args.json:
-        listed = [list(matchings.mask_to_edges(mask)) for mask in masks]
-        payload = {args.stat: value, "matchings": listed}
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit(f"{value}\n", args.out)
+    value = getattr(matchings._summarize_masks(masks, g.n), args.stat)
+    # The bytes json.dumps gives for {stat: value, "matchings": rows}, each
+    # row a list of edge indices; there is always at least one row.
+    render = matchings.mask_renderer([str(e) for e in range(g.m)], ", ")
+    rows = "], [".join(map(render, masks))
+    _emit(f'{{"{args.stat}": {value}, "matchings": [[{rows}]]}}\n', args.out)
     return 0
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Collection
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
-from operator import getitem
 
 from .graph import Graph, read_ascii_int
-from .matchings import DEFAULT_BUDGET, mask_to_edges, maximal_matching_masks
+from .matchings import DEFAULT_BUDGET, mask_renderer, mask_to_edges, maximal_matching_masks
 
 
 class SolutionFormatError(ValueError):
@@ -138,32 +137,12 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     return IlpModel(g.m, rows, counts, labels)
 
 
-def _support_renderer(names: list[str]) -> Callable[[int], str]:
-    """The ``" + "``-joined names of the set bits of a support, read in one
-    pass over its little-endian bytes."""
-    # One table per 8-name slice: each byte value indexes the joined names
-    # of its set bits, "" for zero.
-    tables = []
-    for k in range(0, len(names), 8):
-        table = [""]
-        for name in names[k : k + 8]:
-            # Values with this (highest so far) bit set end with its name.
-            table += [f"{text} + {name}" if text else name for text in table]
-        tables.append(table)
-    width = len(tables)
-
-    def render(support: int) -> str:
-        return " + ".join(filter(None, map(getitem, tables, support.to_bytes(width, "little"))))
-
-    return render
-
-
 def export_lp(model: IlpModel) -> str:
     """Render the model as LP text; variables are 1-based (x1..xm), constraint
     names carry the 1-based row pair they came from."""
     names = [f"x{k}" for k in range(1, model.num_edges + 1)]
     lines = ["Minimize", f" obj: {' + '.join(names)}" if names else " obj:", "Subject To"]
-    render = _support_renderer(names)
+    render = mask_renderer(names, " + ")
     if model.counts is not None:
         lines.extend(
             f" c{i + 1}_{j + 1}: {render(key)} >= 1"

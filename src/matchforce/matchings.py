@@ -1,4 +1,5 @@
-"""Exhaustive maximal-matching enumeration and the counts derived from it.
+"""Exhaustive maximal-matching enumeration, and a pass that counts the
+maximal matchings without listing them.
 
 A maximal matching is held only as an integer bitmask over edge indices: one
 row of the matchings/edges incidence matrix. The enumeration, the forcing-set
@@ -8,7 +9,8 @@ search and the ILP export all work on that list of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from operator import getitem
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graph import (
     BALANCED_COMPLETE_BIPARTITE,
@@ -26,6 +28,10 @@ DEFAULT_BUDGET = 5_000_000
 
 class BudgetExceededError(RuntimeError):
     """The instance is beyond the configured enumeration or search budget."""
+
+
+def _over_budget(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"more than {budget} maximal matchings; raise the budget to enumerate")
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,26 @@ def mask_to_edges(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def mask_renderer(names: list[str], sep: str) -> Callable[[int], str]:
+    """A function giving the ``sep``-joined names of the set bits of a mask,
+    bit k named ``names[k]``, read in one pass over its little-endian bytes."""
+    # One table per 8-name slice: each byte value indexes the joined names
+    # of its set bits, "" for zero.
+    tables = []
+    for k in range(0, len(names), 8):
+        table = [""]
+        for name in names[k : k + 8]:
+            # Values with this (highest so far) bit set end with its name.
+            table += [f"{text}{sep}{name}" if text else name for text in table]
+        tables.append(table)
+    width = len(tables)
+
+    def render(mask: int) -> str:
+        return sep.join(filter(None, map(getitem, tables, mask.to_bytes(width, "little"))))
+
+    return render
 
 
 def _saturated(g: Graph, edges: Iterable[int]) -> int | None:
@@ -145,6 +171,26 @@ def _scan_order(g: Graph) -> list[int]:
     return sorted(range(g.m), key=ends.__getitem__)
 
 
+def _scan_setup(g: Graph, relabel: bool) -> tuple[Sequence[int], list[int], list[int]]:
+    """The positions a search over ``g`` decides, and its masks over them.
+
+    The search decides position k in turn: edge k, or edge order[k] when
+    ``relabel`` takes the :func:`_scan_order`. near[k] is the closed
+    neighbourhood of position k, and dead[j] holds the positions whose
+    neighbours all lie below j: once the search reaches j, an excluded one
+    that is still addable can never be blocked again. dead[m] holds every
+    position.
+    """
+    order = _scan_order(g) if relabel else range(g.m)
+    near = _neighbourhood_masks([g.edges[e] for e in order])
+    dead = [0] * (g.m + 1)
+    for k, nb in enumerate(near):
+        dead[nb.bit_length()] |= 1 << k
+    for j in range(1, g.m + 1):
+        dead[j] |= dead[j - 1]
+    return order, near, dead
+
+
 def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     """All maximal matchings as bitmasks, in lexicographic order.
 
@@ -168,19 +214,9 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = g.m
     relabel = m > _RELABEL_ABOVE
-    # The scan decides position k in turn: edge k, or edge order[k] once
-    # relabelled. near and dead are masks over positions, and key[k] is the
-    # bit that position adds to a matching.
-    order = _scan_order(g) if relabel else range(m)
-    near = _neighbourhood_masks([g.edges[e] for e in order])
+    order, near, dead = _scan_setup(g, relabel)
+    # key[k] is the bit that position k adds to a matching.
     key = [1 << (m - 1 - e if relabel else e) for e in order]
-    # dead[j]: the positions whose neighbours all lie below j. Once the scan
-    # reaches j, an excluded-but-still-addable one can never be blocked again.
-    dead = [0] * (m + 1)
-    for k, nb in enumerate(near):
-        dead[nb.bit_length()] |= 1 << k
-    for j in range(1, m + 1):
-        dead[j] |= dead[j - 1]
     out: list[int] = []
     # Frames: the undecided positions no chosen edge blocks, the key of the
     # matching, and the excluded positions not yet blocked. Each frame runs
@@ -196,9 +232,7 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
                 break
             if not todo:
                 if len(out) >= budget:
-                    raise BudgetExceededError(
-                        f"more than {budget} maximal matchings; raise the budget to enumerate"
-                    )
+                    raise _over_budget(budget)
                 out.append(mask)
                 break
             nb = near[j]
@@ -225,9 +259,75 @@ def enumerate_maximal_matchings(
 
 
 def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSummary:
-    """Count maximal matchings and derive nu, the saturation number, and
-    perfect-matching existence in one enumeration pass."""
-    return _summarize_masks(maximal_matching_masks(g, budget), g.n)
+    """Count the maximal matchings, and find nu, the saturation number and
+    perfect-matching existence, without listing a matching.
+
+    The pass runs the search of :func:`maximal_matching_masks` on the
+    :func:`_scan_order`, with a memo. Once position j is decided, what a
+    frame can still become depends only on its undecided free positions
+    (todo) and its excluded, still addable ones (pending), not on the edges
+    it chose. Frames with equal (todo, pending) are therefore merged into
+    one state carrying their count and their smallest and largest sizes, and
+    the states are expanded one position at a time. On a scan that keeps
+    neighbours close the states are few even when the count is exponential:
+    294 on P20 o K3, whose count is 38,166,342,053,346.
+
+    Raises :class:`BudgetExceededError` exactly when more than ``budget``
+    maximal matchings exist, as the listing does. A pass that reaches more
+    than ``budget`` states gives up and summarizes the listing instead, so
+    the budget bounds its work as it bounds the listing's.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    counted = _count_by_states(g, budget)
+    if counted is None:
+        return _summarize_masks(maximal_matching_masks(g, budget), g.n)
+    psi, sat, nu = counted
+    if psi > budget:
+        raise _over_budget(budget)
+    return MatchingSummary(psi=psi, nu=nu, sat=sat, has_perfect=2 * nu == g.n)
+
+
+def _count_by_states(g: Graph, budget: int) -> tuple[int, int, int] | None:
+    """The count, smallest size and largest size of the maximal matchings,
+    by the memoized pass of :func:`summarize_matchings`; None once more than
+    ``budget`` states arise."""
+    m = g.m
+    _, near, dead = _scan_setup(g, relabel=True)
+    # levels[j]: the states whose lowest undecided position is j (m once
+    # none is left), each keyed by todo | pending, since todo lies at or
+    # above j and pending below it, and mapped to (count, smallest, largest).
+    levels = {0: {(1 << m) - 1: (1, 0, 0)}}
+    states = 1
+    for j in range(m):
+        level = levels.pop(j, None)
+        if level is None:
+            continue
+        low = 1 << j
+        nb = near[j]
+        for state, (count, lo, hi) in level.items():
+            pending = state & (low - 1)
+            todo = state ^ pending
+            # Include j, then exclude it while a later edge can still block it.
+            steps = [(todo & ~nb, pending & ~nb, lo + 1, hi + 1)]
+            if nb & todo != low:
+                steps.append((todo ^ low, pending | low, lo, hi))
+            for todo, pending, small, large in steps:
+                nxt = (todo & -todo).bit_length() - 1 if todo else m
+                if pending & dead[nxt]:
+                    continue
+                into = levels.setdefault(nxt, {})
+                key = todo | pending
+                seen = into.get(key)
+                if seen is None:
+                    states += 1
+                    if states > budget:
+                        return None
+                    into[key] = (count, small, large)
+                else:
+                    into[key] = (seen[0] + count, min(seen[1], small), max(seen[2], large))
+    # Every maximal matching ends with nothing undecided or pending.
+    return levels[m][0]
 
 
 def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:
@@ -246,8 +346,9 @@ def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:
 def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMatchableVerdict:
     """Both views of "every maximal matching is perfect".
 
-    The definitional verdict checks the enumerated matchings: all are perfect
-    exactly when the smallest one is. The structural one asks every connected
+    The definitional verdict checks the maximal matchings: all are perfect
+    exactly when the smallest one is, and :func:`summarize_matchings` gives
+    its size without listing them. The structural one asks every connected
     component to be an even complete graph or a balanced complete bipartite
     graph. The two agree on connected graphs.
     """

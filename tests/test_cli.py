@@ -20,7 +20,7 @@ from matchforce import matchings
 from matchforce.bounds import GRADED_CHECKS, verify_bounds
 from matchforce.cli import build_parser, main
 from matchforce.corona import corona_product
-from matchforce.graph import complete, parse_edge_list, serialize_edge_list, star
+from matchforce.graph import complete, empty, parse_edge_list, path, serialize_edge_list, star
 
 
 @pytest.fixture
@@ -76,14 +76,30 @@ class TestCounts:
         assert json.loads(out) == {"psi": 3, "matchings": [[0], [1], [2]]}
 
     def test_budget_exceeded_exit_code(self, capsys, k3_file):
-        code, _, err = run(capsys, "psi", "--in", k3_file, "--budget", "1")
-        assert code == 1
-        assert "budget" in err or "maximal matchings" in err
+        assert run(capsys, "psi", "--in", k3_file, "--budget", "1") == (
+            1,
+            "",
+            "error: more than 1 maximal matchings; raise the budget to enumerate\n",
+        )
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "psi", "--in", str(tmp_path / "nope.el"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 41])
+    def test_json_bytes_equal_json_dumps(self, capsys, tmp_path, m):
+        # Edge counts on both sides of the byte boundaries of a row mask;
+        # the 41 edges are P6oK3, with 9,477 rows.
+        g = {0: empty(3), 41: corona_product(path(6), complete(3)).graph}.get(m) or path(m + 1)
+        assert g.m == m
+        target = tmp_path / "g.el"
+        target.write_text(serialize_edge_list(g))
+        listing = [list(edges) for edges in matchings.enumerate_maximal_matchings(g)]
+        summary = matchings.summarize_matchings(g)
+        for stat in ("psi", "nu", "sat"):
+            want = json.dumps({stat: getattr(summary, stat), "matchings": listing}) + "\n"
+            assert run(capsys, stat, "--in", str(target), "--json") == (0, want, "")
 
     def test_psi_of_a_large_star(self, capsys, tmp_path):
         # 1,099 edges at one vertex: one branch decides more edges than
@@ -510,6 +526,28 @@ def test_declared_vertex_count_costs_no_memory(capsys, tmp_path, argv):
         tracemalloc.stop()
     assert (code, capsys.readouterr().err) == (0, "")
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "graph,budget",
+    [(corona_product(path(20), complete(3)).graph, matchings.DEFAULT_BUDGET), (complete(30), 1000)],
+    ids=["P20oK3", "K30"],
+)
+def test_counts_past_the_budget_fail_small(capsys, tmp_path, graph, budget):
+    # P20oK3 has 38,166,342,053,346 maximal matchings, counted from a few
+    # hundred states; listing them up to the default budget peaks near 300 MB.
+    # K30's states outgrow the budget, so the listing stops at 1,000 rows.
+    target = tmp_path / "g.el"
+    target.write_text(serialize_edge_list(graph))
+    tracemalloc.start()
+    try:
+        result = run(capsys, "psi", "--in", str(target), "--budget", str(budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = f"error: more than {budget} maximal matchings; raise the budget to enumerate\n"
+    assert result == (1, "", message)
+    assert peak <= 5_000_000
 
 
 # Vertex indices are 15 or below, plus one far index: a graph costs memory

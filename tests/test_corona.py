@@ -158,3 +158,12 @@ def test_corona_psi_oracle_reaches_past_enumeration():
     assert len(PSI_PAIRS) == 59
     # P12oK3 has 83 edges; its Ψ is far beyond enumeration.
     assert corona_psi(path(12), complete(3)) == psi_path_corona_triangle(11) == 123_825_753
+
+
+@pytest.mark.parametrize("n,psi", [(12, 123_825_753), (20, 38_166_342_053_346)])
+def test_counting_pass_reaches_criterion_9_on_long_paths(n, psi):
+    # Listing stops at its budget long before these counts; the counting
+    # pass holds a few hundred states. corona_psi checks P12oK3 above; on
+    # P20oK3 it walks 2^19 spine edge sets, which takes minutes.
+    g = corona_product(path(n), complete(3)).graph
+    assert summarize_matchings(g, budget=10**15).psi == psi_path_corona_triangle(n - 1) == psi

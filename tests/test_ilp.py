@@ -15,7 +15,7 @@ from matchforce.ilp import (
     export_lp,
     import_solution,
 )
-from matchforce.matchings import maximal_matching_masks
+from matchforce.matchings import mask_renderer, maximal_matching_masks
 
 from oracles import brute_ilp_constraints, reference_lp, small_instances
 
@@ -144,9 +144,10 @@ def test_export_matches_the_reference_writer(name, graph, dedup):
 def test_support_renderer_joins_the_names_of_set_bits(case):
     m, masks = case
     names = [f"x{k}" for k in range(1, m + 1)]
-    render = ilp._support_renderer(names)
-    for mask in masks:
-        assert render(mask) == " + ".join(names[e] for e in range(m) if mask >> e & 1)
+    for sep in (" + ", ", "):
+        render = mask_renderer(names, sep)
+        for mask in masks:
+            assert render(mask) == sep.join(names[e] for e in range(m) if mask >> e & 1)
 
 
 @pytest.mark.parametrize("extra", [(), ("--no-dedup",)], ids=["dedup", "nodedup"])
@@ -168,10 +169,10 @@ def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_
 
 def test_no_dedup_export_renders_each_support_once(monkeypatch):
     calls = 0
-    make_renderer = ilp._support_renderer
+    make_renderer = ilp.mask_renderer
 
-    def counting_renderer(names):
-        render = make_renderer(names)
+    def counting_renderer(names, sep):
+        render = make_renderer(names, sep)
 
         def counted(support):
             nonlocal calls
@@ -180,7 +181,7 @@ def test_no_dedup_export_renders_each_support_once(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(ilp, "_support_renderer", counting_renderer)
+    monkeypatch.setattr(ilp, "mask_renderer", counting_renderer)
     g = corona_product(cycle(4), complete(2)).graph
     text = export_lp(build_model(g, dedup=False))
     psi = len(maximal_matching_masks(g))

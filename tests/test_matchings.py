@@ -11,6 +11,7 @@ from matchforce.forcing import phi_exact
 from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path, star
 from matchforce.matchings import (
     BudgetExceededError,
+    _summarize_masks,
     enumerate_maximal_matchings,
     is_matching,
     is_maximal_matching,
@@ -108,8 +109,16 @@ class TestEnumeration:
         disjoint = Graph(n=2000, edges=tuple((2 * i, 2 * i + 1) for i in range(1000)))
         summary = summarize_matchings(disjoint)
         assert (summary.psi, summary.nu) == (1, 1000)
-        with pytest.raises(BudgetExceededError):
-            maximal_matching_masks(path(2100), budget=10)
+        assert tuple(is_randomly_matchable(disjoint)) == (True, True)
+        assert summarize_matchings(star(1100)).psi == 1099
+        assert tuple(is_randomly_matchable(star(1100))) == (False, False)
+        for count in (maximal_matching_masks, summarize_matchings):
+            with pytest.raises(BudgetExceededError):
+                count(path(2100), budget=10)
+        # A long path has few states per position, so the pass counts it.
+        summary = summarize_matchings(path(2100), budget=10**1000)
+        assert (summary.nu, summary.sat) == (1050, 700)
+        assert summary.psi > 10**250
 
     def test_edgeless_graph_has_the_empty_matching(self):
         assert maximal_matching_masks(empty(3)) == [0]
@@ -152,7 +161,9 @@ CORONA_FACTORS = [
 @pytest.mark.parametrize("name,g,h", CORONA_FACTORS, ids=[name for name, _, _ in CORONA_FACTORS])
 def test_enumeration_equals_vertex_branch_oracle(name, g, h):
     graph = corona_product(g, h).graph
-    assert maximal_matching_masks(graph) == vertex_branch_maximal_masks(graph)
+    rows = vertex_branch_maximal_masks(graph)
+    assert maximal_matching_masks(graph) == rows
+    assert summarize_matchings(graph) == _summarize_masks(rows, graph.n)
 
 
 def _bandwidth(g, order):
@@ -185,9 +196,49 @@ def test_scan_order_keeps_neighbours_close():
 @pytest.mark.parametrize("name,graph", ORACLE_INSTANCES, ids=ORACLE_IDS)
 def test_summary_invariants(name, graph):
     summary = summarize_matchings(graph)
+    assert summary == _summarize_masks(brute_maximal_masks(graph), graph.n)
     assert summary.sat <= summary.nu
     assert summary.psi >= 1
     assert summary.has_perfect == (2 * summary.nu == graph.n)
+
+
+class TestCountingPass:
+    """summarize_matchings counts by merged search states and lists nothing,
+    unless its states outgrow the budget."""
+
+    @pytest.fixture
+    def listings(self, monkeypatch):
+        calls = []
+        original = matchings.maximal_matching_masks
+
+        def counting(g, budget=matchings.DEFAULT_BUDGET):
+            calls.append(budget)
+            return original(g, budget)
+
+        monkeypatch.setattr(matchings, "maximal_matching_masks", counting)
+        return calls
+
+    def test_budget_boundary(self, listings):
+        # Psi(P5oK3) = 1,944, from a pass of far fewer states.
+        g = corona_product(path(5), complete(3)).graph
+        message = "more than 1943 maximal matchings; raise the budget to enumerate"
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            summarize_matchings(g, budget=1943)
+        assert summarize_matchings(g, budget=1944).psi == 1944
+        assert listings == []
+
+    def test_more_states_than_budget_falls_back_to_the_listing(self, listings):
+        assert summarize_matchings(complete(4), budget=3).psi == 3
+        assert listings == [3]
+        with pytest.raises(BudgetExceededError):
+            summarize_matchings(complete(4), budget=2)
+        assert listings == [3, 2]
+
+    def test_budget_must_be_positive(self):
+        # The edgeless graph's pass has one state, so it never reaches the listing.
+        for g in (empty(3), complete(3)):
+            with pytest.raises(ValueError):
+                summarize_matchings(g, budget=0)
 
 
 class TestCounts:
@@ -291,6 +342,12 @@ def test_enumeration_and_search_equal_the_oracles(g):
         assert (result.size, result.edges) == brute_min_forcing(g, rows)
 
 
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_counting_pass_equals_the_subset_oracle(g):
+    assert summarize_matchings(g) == _summarize_masks(brute_maximal_masks(g), g.n)
+
+
 @given(small_graphs(), st.randoms(use_true_random=False), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_edge_order_changes_only_the_labels(g, rng, relabel):
@@ -299,6 +356,7 @@ def test_edge_order_changes_only_the_labels(g, rng, relabel):
     perm = list(range(g.m))
     rng.shuffle(perm)
     shuffled = Graph(n=g.n, edges=tuple(g.edges[e] for e in perm))
+    assert summarize_matchings(g) == summarize_matchings(shuffled)
     with mock.patch.object(matchings, "_RELABEL_ABOVE", 0 if relabel else matchings._RELABEL_ABOVE):
         rows = maximal_matching_masks(g)
         moved = maximal_matching_masks(shuffled)
