@@ -23,6 +23,7 @@ from .matchings import (
     _summarize_masks,
     edge_neighbourhoods,
     maximal_matching_masks,
+    summarize_matchings,
 )
 
 
@@ -168,12 +169,12 @@ _PER_CHECK = ("verdicts", "gaps")
 
 def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, int | None]:
     """Enumerate ``graph`` once for its summary and the φ that the default
-    exact search proves, which is None past ``DEFAULT_MAX_EDGES`` or the
-    default node limit."""
+    exact search proves, which is None past the default node limit, or past
+    ``DEFAULT_MAX_EDGES``, where the summary is counted and nothing listed."""
+    if graph.m > DEFAULT_MAX_EDGES:
+        return summarize_matchings(graph, budget), None
     rows = maximal_matching_masks(graph, budget)
     summary = _summarize_masks(rows, graph.n)
-    if graph.m > DEFAULT_MAX_EDGES:
-        return summary, None
     answer = _min_forcing_set(rows, edge_neighbourhoods(graph), DEFAULT_NODE_LIMIT)[0]
     return summary, None if answer is None else answer.bit_count()
 

@@ -1,5 +1,5 @@
-"""Exhaustive maximal-matching enumeration, and a pass that counts the
-maximal matchings without listing them.
+"""Exhaustive maximal-matching enumeration, and a pass over merged search
+states that counts the maximal matchings and, past 24 edges, lists them.
 
 A maximal matching is held only as an integer bitmask over edge indices: one
 row of the matchings/edges incidence matrix. The enumeration, the forcing-set
@@ -131,11 +131,11 @@ def edge_neighbourhoods(g: Graph) -> list[int]:
     return _neighbourhood_masks(g.edges)
 
 
-# Graphs of at most this many edges are scanned in index order. Measured on
-# coronas (Python 3.11, one Xeon core), the scan took 1.3 to 1.6 times the
-# index-order time up to 20 edges, 0.95 to 1.13 from 21 to 24 and 0.80 to
-# 0.97 from 25 on (median per edge count). Random graphs of 16 to 32 edges
-# stayed faster in index order, at 1.08 to 1.61.
+# Up to this many edges the search lists in index order; above it the states
+# of _merge_states on the _scan_order are expanded. On coronas (Python 3.11,
+# one Xeon core) the state listing took 2.0-4.3x the search's time up to 18
+# edges, 0.8-1.7x from 19 to 26 and 0.35-0.85x from 27 to 34 (medians per
+# edge count), and 4.8x on 1,500 random graphs of at most 16 edges.
 _RELABEL_ABOVE = 24
 
 # _REVERSED_BITS[b] is byte b with its bits in reverse order. Translating the
@@ -195,20 +195,20 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     """All maximal matchings as bitmasks, in lexicographic order.
 
     Order is by the sorted edge-index sequence of each matching. Raises
-    :class:`BudgetExceededError` as soon as more than ``budget`` matchings
+    :class:`BudgetExceededError` exactly when more than ``budget`` matchings
     exist.
 
-    The search decides one edge at a time, including it before excluding
-    it, and drops a branch once an excluded edge can no longer be blocked.
-    On graphs of more than ``_RELABEL_ABOVE`` edges it decides them in
-    :func:`_scan_order`, by the Cuthill-McKee ranks of their endpoints, so an
-    excluded edge meets its last neighbour soon and a branch that cannot
-    become maximal dies early. On that scan each matching is built as a key
-    in which edge e is bit m - 1 - e. Two distinct maximal matchings never
-    contain one another, so the first in lexicographic order is the one
-    holding the lowest edge of their symmetric difference: the one with the
-    larger key. Sorting the keys in descending order and reversing their
-    bits gives the masks in order.
+    A search decides one edge at a time, including it before excluding it,
+    and drops a branch once an excluded edge can no longer be blocked. It
+    lists graphs of at most ``_RELABEL_ABOVE`` edges in index order. Larger
+    ones are decided in :func:`_scan_order` and listed by expanding the
+    states of :func:`_merge_states`, whose count checks the budget before
+    any row exists, or by the search when the states outgrow the budget.
+    There each matching is built as a key in which edge e is bit m - 1 - e.
+    Two distinct maximal matchings never contain one another, so the first
+    in lexicographic order holds the lowest edge of their symmetric
+    difference and has the larger key. Sorting the keys in descending order
+    and reversing their bits gives the masks in order.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -217,29 +217,35 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     order, near, dead = _scan_setup(g, relabel)
     # key[k] is the bit that position k adds to a matching.
     key = [1 << (m - 1 - e if relabel else e) for e in order]
-    out: list[int] = []
-    # Frames: the undecided positions no chosen edge blocks, the key of the
-    # matching, and the excluded positions not yet blocked. Each frame runs
-    # its include branches in place and stacks the exclude branch, so the
-    # include branch is expanded first.
-    stack = [((1 << m) - 1, 0, 0)]
-    while stack:
-        todo, mask, pending = stack.pop()
-        while True:
-            low = todo & -todo
-            j = low.bit_length() - 1  # -1 once todo is empty; dead[-1] holds every position
-            if pending & dead[j]:
-                break
-            if not todo:
-                if len(out) >= budget:
-                    raise _over_budget(budget)
-                out.append(mask)
-                break
-            nb = near[j]
-            # Excluding j is worth a branch only while a later edge can block it.
-            if nb & todo != low:
-                stack.append((todo ^ low, mask, pending | low))
-            todo, mask, pending = todo & ~nb, mask | key[j], pending & ~nb
+    levels = _merge_states(near, dead, budget, keep=True) if relabel else None
+    if levels is not None:
+        if levels[m][0][0] > budget:
+            raise _over_budget(budget)
+        out = _expand_states(levels, near, dead, key)
+    else:
+        out = []
+        # Frames: the undecided positions no chosen edge blocks, the key of
+        # the matching, and the excluded positions not yet blocked. Each frame
+        # runs its include branches in place and stacks the exclude branch, so
+        # the include branch is expanded first.
+        stack = [((1 << m) - 1, 0, 0)]
+        while stack:
+            todo, mask, pending = stack.pop()
+            while True:
+                low = todo & -todo
+                j = low.bit_length() - 1  # -1 once todo is empty; dead[-1] holds every position
+                if pending & dead[j]:
+                    break
+                if not todo:
+                    if len(out) >= budget:
+                        raise _over_budget(budget)
+                    out.append(mask)
+                    break
+                nb = near[j]
+                # Excluding j is worth a branch only while a later edge can block it.
+                if nb & todo != low:
+                    stack.append((todo ^ low, mask, pending | low))
+                todo, mask, pending = todo & ~nb, mask | key[j], pending & ~nb
     if relabel:
         out.sort(reverse=True)
         width = (m + 7) // 8
@@ -262,15 +268,10 @@ def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSumma
     """Count the maximal matchings, and find nu, the saturation number and
     perfect-matching existence, without listing a matching.
 
-    The pass runs the search of :func:`maximal_matching_masks` on the
-    :func:`_scan_order`, with a memo. Once position j is decided, what a
-    frame can still become depends only on its undecided free positions
-    (todo) and its excluded, still addable ones (pending), not on the edges
-    it chose. Frames with equal (todo, pending) are therefore merged into
-    one state carrying their count and their smallest and largest sizes, and
-    the states are expanded one position at a time. On a scan that keeps
-    neighbours close the states are few even when the count is exponential:
-    294 on P20 o K3, whose count is 38,166,342,053,346.
+    The figures come from the merged states of :func:`_merge_states` on the
+    :func:`_scan_order`. On a scan that keeps neighbours close the states
+    are few even when the count is exponential: 294 on P20 o K3, whose count
+    is 38,166,342,053,346.
 
     Raises :class:`BudgetExceededError` exactly when more than ``budget``
     maximal matchings exist, as the listing does. A pass that reaches more
@@ -279,55 +280,83 @@ def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSumma
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    counted = _count_by_states(g, budget)
-    if counted is None:
+    _, near, dead = _scan_setup(g, relabel=True)
+    levels = _merge_states(near, dead, budget, keep=False)
+    if levels is None:
         return _summarize_masks(maximal_matching_masks(g, budget), g.n)
-    psi, sat, nu = counted
+    psi, sat, nu, _ = levels[g.m][0]
     if psi > budget:
         raise _over_budget(budget)
     return MatchingSummary(psi=psi, nu=nu, sat=sat, has_perfect=2 * nu == g.n)
 
 
-def _count_by_states(g: Graph, budget: int) -> tuple[int, int, int] | None:
-    """The count, smallest size and largest size of the maximal matchings,
-    by the memoized pass of :func:`summarize_matchings`; None once more than
-    ``budget`` states arise."""
-    m = g.m
-    _, near, dead = _scan_setup(g, relabel=True)
-    # levels[j]: the states whose lowest undecided position is j (m once
-    # none is left), each keyed by todo | pending, since todo lies at or
-    # above j and pending below it, and mapped to (count, smallest, largest).
-    levels = {0: {(1 << m) - 1: (1, 0, 0)}}
+def _children(state: int, j: int, near: list[int], dead: list[int]) -> list[tuple[int, int, int]]:
+    """The live (level, state, 1 if j is included else 0) that deciding j leads to."""
+    low = 1 << j
+    nb = near[j]
+    pending = state & (low - 1)
+    todo = state ^ pending
+    out = []
+    free, waiting = todo & ~nb, pending & ~nb
+    nxt = (free & -free).bit_length() - 1 if free else len(near)
+    if not waiting & dead[nxt]:
+        out.append((nxt, free | waiting, 1))
+    # Exclude j only while a later edge can still block it.
+    if nb & todo != low:
+        todo, pending = todo ^ low, pending | low
+        nxt = (todo & -todo).bit_length() - 1
+        if not pending & dead[nxt]:
+            out.append((nxt, todo | pending, 0))
+    return out
+
+
+def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> dict | None:
+    """The search of :func:`maximal_matching_masks` with its frames merged
+    into states; None once more than ``budget`` states arise.
+
+    Once position j is decided, what a frame can still become depends only
+    on its undecided free positions (todo) and its excluded, still addable
+    ones (pending), not on the edges it chose. levels[j] maps the states
+    whose lowest undecided position is j (m once none is left), keyed by
+    todo | pending, to [count, smallest size, largest size, parents]. Levels
+    are dropped once expanded unless kept; every frame ends in levels[m][0].
+    """
+    m = len(near)
+    levels = {0: {(1 << m) - 1: [1, 0, 0, 0]}}
     states = 1
     for j in range(m):
-        level = levels.pop(j, None)
-        if level is None:
-            continue
-        low = 1 << j
-        nb = near[j]
-        for state, (count, lo, hi) in level.items():
-            pending = state & (low - 1)
-            todo = state ^ pending
-            # Include j, then exclude it while a later edge can still block it.
-            steps = [(todo & ~nb, pending & ~nb, lo + 1, hi + 1)]
-            if nb & todo != low:
-                steps.append((todo ^ low, pending | low, lo, hi))
-            for todo, pending, small, large in steps:
-                nxt = (todo & -todo).bit_length() - 1 if todo else m
-                if pending & dead[nxt]:
-                    continue
+        for state, (count, lo, hi, _) in (levels.get(j, {}) if keep else levels.pop(j, {})).items():
+            for nxt, child, took in _children(state, j, near, dead):
                 into = levels.setdefault(nxt, {})
-                key = todo | pending
-                seen = into.get(key)
+                seen = into.get(child)
                 if seen is None:
                     states += 1
                     if states > budget:
                         return None
-                    into[key] = (count, small, large)
+                    into[child] = [count, lo + took, hi + took, 1]
                 else:
-                    into[key] = (seen[0] + count, min(seen[1], small), max(seen[2], large))
-    # Every maximal matching ends with nothing undecided or pending.
-    return levels[m][0]
+                    seen[0] += count
+                    seen[1] = min(seen[1], lo + took)
+                    seen[2] = max(seen[2], hi + took)
+                    seen[3] += 1
+    return levels
+
+
+def _expand_states(levels: dict, near: list[int], dead: list[int], key: list[int]) -> list[int]:
+    """Every maximal matching of the kept ``levels`` as an OR of keys, built
+    from the last position back; a list is dropped once its parents read it."""
+    m = len(near)
+    done = {(m, 0): [0]}
+    for j in range(m - 1, -1, -1):
+        for state in levels.get(j, ()):
+            rows: list[int] = []
+            for nxt, child, took in _children(state, j, near, dead):
+                entry = levels[nxt][child]
+                entry[3] -= 1
+                tail = done[nxt, child] if entry[3] else done.pop((nxt, child))
+                rows += [key[j] | s for s in tail] if took else tail
+            done[j, state] = rows
+    return done[0, (1 << m) - 1]
 
 
 def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:

@@ -210,6 +210,19 @@ def reference_lp(num_edges: int, rows: list[int], dedup: bool) -> str:
     return "".join(line + "\n" for line in out)
 
 
+def _copy_counts(h: Graph) -> tuple[int, int, int]:
+    """Ψ(H), a = Σ_u Ψ(H − u) and b, the perfect matchings of H: the weights
+    of a covered, a joined and a free spine vertex in :func:`corona_psi`."""
+    h_rows = brute_maximal_masks(h)
+    # H − u keeps u as an isolated vertex, which changes no matching.
+    a = sum(
+        len(brute_maximal_masks(Graph(h.n, tuple(e for e in h.edges if u not in e))))
+        for u in range(h.n)
+    )
+    b = sum(1 for row in h_rows if 2 * row.bit_count() == h.n)
+    return len(h_rows), a, b
+
+
 def corona_psi(g: Graph, h: Graph) -> int:
     """Ψ(G∘H) from the factors, without building or enumerating the corona.
 
@@ -225,14 +238,7 @@ def corona_psi(g: Graph, h: Graph) -> int:
     Factor counts come from :func:`brute_maximal_masks` and the matchings of
     G from all edge subsets, so nothing is shared with the enumerator.
     """
-    h_rows = brute_maximal_masks(h)
-    psi_h = len(h_rows)
-    # H − u keeps u as an isolated vertex, which changes no matching.
-    a = sum(
-        len(brute_maximal_masks(Graph(h.n, tuple(e for e in h.edges if u not in e))))
-        for u in range(h.n)
-    )
-    b = sum(1 for row in h_rows if 2 * row.bit_count() == h.n)
+    psi_h, a, b = _copy_counts(h)
     adjacent = [0] * g.n
     for u, v in g.edges:
         adjacent[u] |= 1 << v
@@ -256,6 +262,23 @@ def corona_psi(g: Graph, h: Graph) -> int:
                     inner += a ** (len(free) - len(chosen)) * b ** len(chosen)
             total += psi_h ** (2 * subset.bit_count()) * inner
     return total
+
+
+def path_corona_psi(n: int, h: Graph) -> int:
+    """Ψ(P_n∘H) by a transfer matrix along the spine 0 − 1 − … − (n − 1).
+
+    It sums the terms of :func:`corona_psi` vertex by vertex, in n steps
+    instead of 2^(n − 1) · 2^n. After spine vertex i the partial sum is
+    split by what i does: it opens a matching edge to i + 1 (``opened``), it
+    is a free vertex of I (``aside``), or it is covered by the edge from
+    i − 1 or by a join edge (``done``). An edge of M weighs Ψ(H)² when it
+    closes, and no two vertices of I are neighbours.
+    """
+    psi_h, a, b = _copy_counts(h)
+    opened, aside, done = 0, 0, 1
+    for _ in range(n):
+        opened, aside, done = aside + done, b * done, a * (aside + done) + psi_h**2 * opened
+    return aside + done
 
 
 def small_instances(max_edges: int = 8) -> list[tuple[str, Graph]]:

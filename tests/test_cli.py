@@ -528,25 +528,61 @@ def test_declared_vertex_count_costs_no_memory(capsys, tmp_path, argv):
     assert peak < 2_000_000
 
 
+_P20_K3 = corona_product(path(20), complete(3)).graph
+
+
 @pytest.mark.parametrize(
-    "graph,budget",
-    [(corona_product(path(20), complete(3)).graph, matchings.DEFAULT_BUDGET), (complete(30), 1000)],
-    ids=["P20oK3", "K30"],
+    "graph,budget,argv",
+    [
+        pytest.param(_P20_K3, matchings.DEFAULT_BUDGET, ["psi"], id="P20oK3"),
+        pytest.param(complete(30), 1000, ["psi"], id="K30"),
+        pytest.param(_P20_K3, matchings.DEFAULT_BUDGET, ["psi", "--json"], id="P20oK3-psi-json"),
+        pytest.param(_P20_K3, matchings.DEFAULT_BUDGET, ["export-lp"], id="P20oK3-export-lp"),
+        pytest.param(
+            _P20_K3, matchings.DEFAULT_BUDGET, ["verify-forcing", "--edges", "0"], id="P20oK3-verify-forcing"
+        ),
+        pytest.param(complete(30), 1000, ["psi", "--json"], id="K30-psi-json"),
+    ],
 )
-def test_counts_past_the_budget_fail_small(capsys, tmp_path, graph, budget):
+def test_counts_past_the_budget_fail_small(capsys, tmp_path, graph, budget, argv):
     # P20oK3 has 38,166,342,053,346 maximal matchings, counted from a few
-    # hundred states; listing them up to the default budget peaks near 300 MB.
+    # hundred states; listing them up to the default budget peaks near 300 MB,
+    # so the listing commands must check the count before they build a row.
     # K30's states outgrow the budget, so the listing stops at 1,000 rows.
     target = tmp_path / "g.el"
     target.write_text(serialize_edge_list(graph))
     tracemalloc.start()
     try:
-        result = run(capsys, "psi", "--in", str(target), "--budget", str(budget))
+        result = run(capsys, *argv, "--in", str(target), "--budget", str(budget))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     message = f"error: more than {budget} maximal matchings; raise the budget to enumerate\n"
     assert result == (1, "", message)
+    assert peak <= 5_000_000
+
+
+def test_bounds_past_the_edge_cap_lists_nothing(capsys, tmp_path):
+    # P20oK3 has 139 edges, past the exact search's 40-edge cap, so the report
+    # needs only its summary; Psi is over the default budget, so the exact
+    # columns stay empty. Listing rows up to the budget first peaked near 300 MB.
+    spine, copied = tmp_path / "P20.el", tmp_path / "K3.el"
+    spine.write_text(serialize_edge_list(path(20)))
+    copied.write_text(serialize_edge_list(complete(3)))
+    tracemalloc.start()
+    try:
+        result = run(capsys, "bounds", "--g", str(spine), "--h", str(copied))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = (
+        '{"g": "G", "h": "H", "n_g": 20, "n_h": 3, "m_corona": 139, "nu_g": 10, "nu_h": 1, '
+        '"phi_g": 9, "phi_h": 2, "h_has_perfect": false, "h_randomly_matchable": false, '
+        '"predicted_nu": 40, "upper_complement": 99, "upper_sum": 109, "lower_randomly": null, '
+        '"exact_nu": null, "exact_psi": null, "exact_phi": null, "verdicts": {}, "gaps": {}, '
+        '"all_pass": true}\n'
+    )
+    assert result == (0, report, "")
     assert peak <= 5_000_000
 
 

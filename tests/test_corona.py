@@ -9,7 +9,7 @@ from matchforce.corona import corona_product, partition_to_json
 from matchforce.graph import Graph, GraphError, complete, complete_bipartite, cycle, path, star
 from matchforce.matchings import summarize_matchings
 
-from oracles import corona_psi, degrees
+from oracles import corona_psi, degrees, path_corona_psi
 
 
 @pytest.fixture
@@ -160,10 +160,17 @@ def test_corona_psi_oracle_reaches_past_enumeration():
     assert corona_psi(path(12), complete(3)) == psi_path_corona_triangle(11) == 123_825_753
 
 
+@pytest.mark.parametrize("name,h", PSI_FACTORS, ids=[name for name, _ in PSI_FACTORS])
+def test_path_transfer_matrix_equals_the_subset_oracle(name, h):
+    for n in range(1, 7):
+        assert path_corona_psi(n, h) == corona_psi(path(n), h)
+
+
 @pytest.mark.parametrize("n,psi", [(12, 123_825_753), (20, 38_166_342_053_346)])
 def test_counting_pass_reaches_criterion_9_on_long_paths(n, psi):
     # Listing stops at its budget long before these counts; the counting
-    # pass holds a few hundred states. corona_psi checks P12oK3 above; on
-    # P20oK3 it walks 2^19 spine edge sets, which takes minutes.
+    # pass holds a few hundred states. corona_psi walks 2^(n - 1) spine edge
+    # sets, minutes on P20oK3, so the transfer matrix checks both lengths.
     g = corona_product(path(n), complete(3)).graph
     assert summarize_matchings(g, budget=10**15).psi == psi_path_corona_triangle(n - 1) == psi
+    assert path_corona_psi(n, complete(3)) == psi

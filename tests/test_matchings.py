@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -109,6 +110,7 @@ class TestEnumeration:
         disjoint = Graph(n=2000, edges=tuple((2 * i, 2 * i + 1) for i in range(1000)))
         summary = summarize_matchings(disjoint)
         assert (summary.psi, summary.nu) == (1, 1000)
+        assert maximal_matching_masks(disjoint) == [(1 << 1000) - 1]
         assert tuple(is_randomly_matchable(disjoint)) == (True, True)
         assert summarize_matchings(star(1100)).psi == 1099
         assert tuple(is_randomly_matchable(star(1100))) == (False, False)
@@ -239,6 +241,59 @@ class TestCountingPass:
         for g in (empty(3), complete(3)):
             with pytest.raises(ValueError):
                 summarize_matchings(g, budget=0)
+
+
+class TestStateListing:
+    """maximal_matching_masks lists graphs of more than 24 edges from the
+    counting pass's states, and by the search once those outgrow the budget."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        original = matchings._merge_states
+
+        def counting(near, dead, budget, keep):
+            levels = original(near, dead, budget, keep)
+            calls.append((budget, levels is None))
+            return levels
+
+        monkeypatch.setattr(matchings, "_merge_states", counting)
+        return calls
+
+    def test_states_past_the_budget_fall_back_to_the_search(self, passes):
+        # K8 has 28 edges and Psi = 105, from a pass of 226 states.
+        g = complete(8)
+        assert g.m > matchings._RELABEL_ABOVE
+        assert maximal_matching_masks(g, budget=105) == vertex_branch_maximal_masks(g)
+        assert passes == [(105, True)]
+        message = "more than 104 maximal matchings; raise the budget to enumerate"
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            maximal_matching_masks(g, budget=104)
+        assert passes == [(105, True), (104, True)]
+
+    def test_count_over_the_budget_lists_nothing(self, passes):
+        # P5oK3 has Psi = 1,944 from far fewer states, and P20oK3 has
+        # 38,166,342,053,346 from 294: the count refuses both before a row.
+        p5 = corona_product(path(5), complete(3)).graph
+        with mock.patch.object(matchings, "_expand_states", side_effect=AssertionError):
+            with pytest.raises(BudgetExceededError, match="^more than 1943 maximal"):
+                maximal_matching_masks(p5, budget=1943)
+            with pytest.raises(BudgetExceededError, match="^more than 5000000 maximal"):
+                maximal_matching_masks(corona_product(path(20), complete(3)).graph)
+        assert passes == [(1943, False), (matchings.DEFAULT_BUDGET, False)]
+
+    def test_each_list_is_dropped_after_its_last_reader(self):
+        # C5oC4 has 45 edges and 103,328 maximal matchings, about 4 MB of
+        # rows. Keeping every state's list to the end peaked at 14 MB.
+        g = corona_product(cycle(5), cycle(4)).graph
+        tracemalloc.start()
+        try:
+            rows = maximal_matching_masks(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 103_328
+        assert peak <= 8_000_000
 
 
 class TestCounts:
