@@ -49,11 +49,12 @@ def read_ascii_int(token: str) -> int | None:
 
     ``int()`` also reads other Unicode digits, ``_`` separators, a sign and
     surrounding spaces; none of them is a numeral here. A run longer than
-    ``sys.get_int_max_str_digits()`` is None too, where ``int()`` raises.
+    ``sys.get_int_max_str_digits()`` is None too, where ``int()`` raises. An
+    interpreter without that getter has no such limit in ``int()`` either.
     """
     if not (token.isascii() and token.isdigit()):
         return None
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return None if limit and len(token) > limit else int(token)
 
 

@@ -1,5 +1,5 @@
-"""Exhaustive maximal-matching enumeration, and a pass over merged search
-states that counts the maximal matchings and, past 24 edges, lists them.
+"""Maximal matchings by one exhaustive search in edge-index order, and by a
+pass over merged search states that counts them and, past 24 edges, lists them.
 
 A maximal matching is held only as an integer bitmask over edge indices: one
 row of the matchings/edges incidence matrix. The enumeration, the forcing-set
@@ -131,8 +131,8 @@ def edge_neighbourhoods(g: Graph) -> list[int]:
     return _neighbourhood_masks(g.edges)
 
 
-# Up to this many edges the search lists in index order; above it the states
-# of _merge_states on the _scan_order are expanded. On coronas (Python 3.11,
+# Up to this many edges _search lists the matchings; above it the states of
+# _merge_states on the _scan_order are expanded. On coronas (Python 3.11,
 # one Xeon core) the state listing took 2.0-4.3x the search's time up to 18
 # edges, 0.8-1.7x from 19 to 26 and 0.35-0.85x from 27 to 34 (medians per
 # edge count), and 4.8x on 1,500 random graphs of at most 16 edges.
@@ -171,24 +171,48 @@ def _scan_order(g: Graph) -> list[int]:
     return sorted(range(g.m), key=ends.__getitem__)
 
 
-def _scan_setup(g: Graph, relabel: bool) -> tuple[Sequence[int], list[int], list[int]]:
-    """The positions a search over ``g`` decides, and its masks over them.
-
-    The search decides position k in turn: edge k, or edge order[k] when
-    ``relabel`` takes the :func:`_scan_order`. near[k] is the closed
-    neighbourhood of position k, and dead[j] holds the positions whose
-    neighbours all lie below j: once the search reaches j, an excluded one
-    that is still addable can never be blocked again. dead[m] holds every
-    position.
-    """
-    order = _scan_order(g) if relabel else range(g.m)
-    near = _neighbourhood_masks([g.edges[e] for e in order])
-    dead = [0] * (g.m + 1)
+def _scan_setup(edges: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """near[k], the closed neighbourhood of position k of ``edges``, and
+    dead[j], the positions whose neighbours all lie below j: once a search
+    reaches j, an excluded one that is still addable can never be blocked
+    again. dead[m] holds every position."""
+    near = _neighbourhood_masks(edges)
+    dead = [0] * (len(edges) + 1)
     for k, nb in enumerate(near):
         dead[nb.bit_length()] |= 1 << k
-    for j in range(1, g.m + 1):
+    for j in range(1, len(dead)):
         dead[j] |= dead[j - 1]
-    return order, near, dead
+    return near, dead
+
+
+def _search(g: Graph, budget: int) -> list[int]:
+    """All maximal matchings as bitmasks, in lexicographic order: each edge,
+    in index order, is included before it is excluded, and a branch is
+    dropped once an excluded edge can no longer be blocked."""
+    near, dead = _scan_setup(g.edges)
+    out: list[int] = []
+    # Frames: the undecided edges no chosen edge blocks, the matching, and
+    # the excluded edges not yet blocked. Each frame runs its include
+    # branches in place and stacks its exclude branches.
+    stack = [((1 << g.m) - 1, 0, 0)]
+    while stack:
+        todo, mask, pending = stack.pop()
+        while True:
+            low = todo & -todo
+            j = low.bit_length() - 1  # -1 once todo is empty; dead[-1] holds every edge
+            if pending & dead[j]:
+                break
+            if not todo:
+                if len(out) >= budget:
+                    raise _over_budget(budget)
+                out.append(mask)
+                break
+            nb = near[j]
+            # Excluding j is worth a branch only while a later edge can block it.
+            if nb & todo != low:
+                stack.append((todo ^ low, mask, pending | low))
+            todo, mask, pending = todo & ~nb, mask | low, pending & ~nb
+    return out
 
 
 def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -198,61 +222,35 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     :class:`BudgetExceededError` exactly when more than ``budget`` matchings
     exist.
 
-    A search decides one edge at a time, including it before excluding it,
-    and drops a branch once an excluded edge can no longer be blocked. It
-    lists graphs of at most ``_RELABEL_ABOVE`` edges in index order. Larger
-    ones are decided in :func:`_scan_order` and listed by expanding the
-    states of :func:`_merge_states`, whose count checks the budget before
-    any row exists, or by the search when the states outgrow the budget.
-    There each matching is built as a key in which edge e is bit m - 1 - e.
-    Two distinct maximal matchings never contain one another, so the first
-    in lexicographic order holds the lowest edge of their symmetric
-    difference and has the larger key. Sorting the keys in descending order
-    and reversing their bits gives the masks in order.
+    Graphs of at most ``_RELABEL_ABOVE`` edges are listed by :func:`_search`.
+    Larger ones are decided in :func:`_scan_order` and listed by expanding
+    the states of :func:`_merge_states`, whose count checks the budget before
+    any row exists; a pass whose states outgrow the budget hands the graph to
+    the search. The expansion builds each matching as a key in which edge e
+    is bit m - 1 - e. Two distinct maximal matchings never contain one
+    another, so the first in lexicographic order holds the lowest edge of
+    their symmetric difference and has the larger key. Sorting the keys in
+    descending order and reversing their bits gives the masks in order.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     m = g.m
-    relabel = m > _RELABEL_ABOVE
-    order, near, dead = _scan_setup(g, relabel)
-    # key[k] is the bit that position k adds to a matching.
-    key = [1 << (m - 1 - e if relabel else e) for e in order]
-    levels = _merge_states(near, dead, budget, keep=True) if relabel else None
-    if levels is not None:
-        if levels[m][0][0] > budget:
-            raise _over_budget(budget)
-        out = _expand_states(levels, near, dead, key)
-    else:
-        out = []
-        # Frames: the undecided positions no chosen edge blocks, the key of
-        # the matching, and the excluded positions not yet blocked. Each frame
-        # runs its include branches in place and stacks the exclude branch, so
-        # the include branch is expanded first.
-        stack = [((1 << m) - 1, 0, 0)]
-        while stack:
-            todo, mask, pending = stack.pop()
-            while True:
-                low = todo & -todo
-                j = low.bit_length() - 1  # -1 once todo is empty; dead[-1] holds every position
-                if pending & dead[j]:
-                    break
-                if not todo:
-                    if len(out) >= budget:
-                        raise _over_budget(budget)
-                    out.append(mask)
-                    break
-                nb = near[j]
-                # Excluding j is worth a branch only while a later edge can block it.
-                if nb & todo != low:
-                    stack.append((todo ^ low, mask, pending | low))
-                todo, mask, pending = todo & ~nb, mask | key[j], pending & ~nb
-    if relabel:
-        out.sort(reverse=True)
-        width = (m + 7) // 8
-        pad = 8 * width - m
-        for r, mask in enumerate(out):
-            reversed_bytes = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
-            out[r] = int.from_bytes(reversed_bytes, "big") >> pad
+    if m <= _RELABEL_ABOVE:
+        return _search(g, budget)
+    order = _scan_order(g)
+    near, dead = _scan_setup([g.edges[e] for e in order])
+    levels = _merge_states(near, dead, budget, keep=True)
+    if levels is None:
+        return _search(g, budget)
+    if levels[m][0][0] > budget:
+        raise _over_budget(budget)
+    out = _expand_states(levels, near, dead, [1 << (m - 1 - e) for e in order])
+    out.sort(reverse=True)
+    width = (m + 7) // 8
+    pad = 8 * width - m
+    for r, key in enumerate(out):
+        reversed_bytes = key.to_bytes(width, "little").translate(_REVERSED_BITS)
+        out[r] = int.from_bytes(reversed_bytes, "big") >> pad
     return out
 
 
@@ -275,15 +273,15 @@ def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSumma
 
     Raises :class:`BudgetExceededError` exactly when more than ``budget``
     maximal matchings exist, as the listing does. A pass that reaches more
-    than ``budget`` states gives up and summarizes the listing instead, so
-    the budget bounds its work as it bounds the listing's.
+    than ``budget`` states gives up and summarizes :func:`_search` instead,
+    so the budget bounds its work as it bounds the listing's.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    _, near, dead = _scan_setup(g, relabel=True)
+    near, dead = _scan_setup([g.edges[e] for e in _scan_order(g)])
     levels = _merge_states(near, dead, budget, keep=False)
     if levels is None:
-        return _summarize_masks(maximal_matching_masks(g, budget), g.n)
+        return _summarize_masks(_search(g, budget), g.n)
     psi, sat, nu, _ = levels[g.m][0]
     if psi > budget:
         raise _over_budget(budget)
@@ -311,8 +309,8 @@ def _children(state: int, j: int, near: list[int], dead: list[int]) -> list[tupl
 
 
 def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> dict | None:
-    """The search of :func:`maximal_matching_masks` with its frames merged
-    into states; None once more than ``budget`` states arise.
+    """The search of :func:`_search`, on the positions of ``near``, with its
+    frames merged into states; None once more than ``budget`` states arise.
 
     Once position j is decided, what a frame can still become depends only
     on its undecided free positions (todo) and its excluded, still addable

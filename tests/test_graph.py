@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchforce import cli
 from matchforce.graph import (
     Graph,
     GraphError,
@@ -111,11 +112,22 @@ def test_read_ascii_int(token, want):
     assert read_ascii_int(token) == want
 
 
-@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer digit limit")
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no integer digit limit"
+)
 def test_read_ascii_int_stops_at_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert read_ascii_int("7" * limit) == int("7" * limit)
     assert read_ascii_int("7" * (limit + 1)) is None
+
+
+def test_no_digit_limit_getter_means_no_limit(monkeypatch, capsys):
+    # Python 3.10 before 3.10.7 has neither the getter nor a limit in int().
+    # Deleting the getter does not lift the limit, so the numerals stay short.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert read_ascii_int("12") == 12
+    assert cli.main(["gen", "--family", "path", "--n", "3"]) == 0
+    assert capsys.readouterr().out == "n 3\n0 1\n1 2\n"
 
 
 class TestFamilies:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from unittest import mock
 
@@ -204,9 +205,24 @@ def test_summary_invariants(name, graph):
     assert summary.has_perfect == (2 * summary.nu == graph.n)
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    # (budget, whether the states outgrew it) for each _merge_states call.
+    calls = []
+    original = matchings._merge_states
+
+    def counting(near, dead, budget, keep):
+        levels = original(near, dead, budget, keep)
+        calls.append((budget, levels is None))
+        return levels
+
+    monkeypatch.setattr(matchings, "_merge_states", counting)
+    return calls
+
+
 class TestCountingPass:
     """summarize_matchings counts by merged search states and lists nothing,
-    unless its states outgrow the budget."""
+    unless its states outgrow the budget; then it summarizes the search."""
 
     @pytest.fixture
     def listings(self, monkeypatch):
@@ -229,12 +245,34 @@ class TestCountingPass:
         assert summarize_matchings(g, budget=1944).psi == 1944
         assert listings == []
 
-    def test_more_states_than_budget_falls_back_to_the_listing(self, listings):
+    def test_more_states_than_budget_falls_back_to_the_search(self, listings, passes):
         assert summarize_matchings(complete(4), budget=3).psi == 3
-        assert listings == [3]
         with pytest.raises(BudgetExceededError):
             summarize_matchings(complete(4), budget=2)
-        assert listings == [3, 2]
+        assert passes == [(3, True), (2, True)]
+        # K8 has 28 edges and Psi = 105, from a pass of 226 states: past 24
+        # edges the listing would run the pass again before its search.
+        g = complete(8)
+        want = _summarize_masks(vertex_branch_maximal_masks(g), g.n)
+        assert summarize_matchings(g, budget=105) == want
+        message = "more than 104 maximal matchings; raise the budget to enumerate"
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            summarize_matchings(g, budget=104)
+        assert passes == [(3, True), (2, True), (105, True), (104, True)]
+        assert listings == []
+
+    def test_search_fallback_stays_small(self):
+        # K30 has more than 20,000 states and maximal matchings. The search
+        # stops at the 20,001st row; a second pass kept 20,000 states too and
+        # peaked at 4.5 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^more than 20000 maximal"):
+                summarize_matchings(complete(30), budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_budget_must_be_positive(self):
         # The edgeless graph's pass has one state, so it never reaches the listing.
@@ -246,19 +284,6 @@ class TestCountingPass:
 class TestStateListing:
     """maximal_matching_masks lists graphs of more than 24 edges from the
     counting pass's states, and by the search once those outgrow the budget."""
-
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        calls = []
-        original = matchings._merge_states
-
-        def counting(near, dead, budget, keep):
-            levels = original(near, dead, budget, keep)
-            calls.append((budget, levels is None))
-            return levels
-
-        monkeypatch.setattr(matchings, "_merge_states", counting)
-        return calls
 
     def test_states_past_the_budget_fall_back_to_the_search(self, passes):
         # K8 has 28 edges and Psi = 105, from a pass of 226 states.
@@ -294,6 +319,47 @@ class TestStateListing:
             tracemalloc.stop()
         assert len(rows) == 103_328
         assert peak <= 8_000_000
+
+
+def _dense_graphs(seed, count):
+    # 8 to 10 vertices and 25 to 34 edges: past the search's 24, and most
+    # with more merged states than maximal matchings.
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(8, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(25, min(34, len(pairs))))
+        out.append(Graph(n=n, edges=tuple(sorted(edges))))
+    return out
+
+
+DENSE_GRAPHS = _dense_graphs(seed=7, count=30)
+
+
+@pytest.mark.parametrize("g", DENSE_GRAPHS, ids=[f"dense{i}" for i in range(len(DENSE_GRAPHS))])
+def test_dense_graphs_at_the_budget_boundary(g, passes):
+    rows = vertex_branch_maximal_masks(g)
+    psi = len(rows)
+    for count, want in ((maximal_matching_masks, rows), (summarize_matchings, _summarize_masks(rows, g.n))):
+        passes.clear()
+        assert count(g, psi) == want
+        assert len(passes) <= 1
+        passes.clear()
+        with pytest.raises(BudgetExceededError):
+            count(g, psi - 1)
+        assert len(passes) <= 1
+
+
+def test_most_dense_graphs_take_the_search_at_their_count(passes):
+    # The route the boundary test must keep covering: states past Psi.
+    outgrown = 0
+    for g in DENSE_GRAPHS:
+        psi = summarize_matchings(g).psi
+        passes.clear()
+        summarize_matchings(g, budget=psi)
+        outgrown += passes == [(psi, True)]
+    assert 2 * outgrown > len(DENSE_GRAPHS)
 
 
 class TestCounts:
