@@ -21,7 +21,6 @@ from .matchings import (
     DEFAULT_BUDGET,
     MatchingSummary,
     _summarize_masks,
-    edge_neighbourhoods,
     maximal_matching_masks,
     summarize_matchings,
 )
@@ -175,7 +174,7 @@ def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, int | None]:
         return summarize_matchings(graph, budget), None
     rows = maximal_matching_masks(graph, budget)
     summary = _summarize_masks(rows, graph.n)
-    answer = _min_forcing_set(rows, edge_neighbourhoods(graph), DEFAULT_NODE_LIMIT)[0]
+    answer = _min_forcing_set(rows, DEFAULT_NODE_LIMIT)[0]
     return summary, None if answer is None else answer.bit_count()
 
 

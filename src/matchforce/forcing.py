@@ -10,14 +10,16 @@ adds a row only once an answer misses it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Iterator
 
 from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    edge_neighbourhoods,
     edges_to_mask,
     mask_to_edges,
     maximal_matching_masks,
@@ -86,54 +88,50 @@ def _column_masks(rows: list[int], m: int) -> list[int]:
     return cols
 
 
-def _refine(classes: list[int], col: int) -> list[int]:
-    """Split each class of rows by ``col``; keep the parts of two rows or more."""
-    return [part for cls in classes for part in (cls & col, cls & ~col) if part.bit_count() > 1]
-
-
-def _swap_pairs(rows: list[int], near: list[int]) -> set[int]:
+def _swap_pairs(rows: list[int]) -> set[int]:
     """The swap pairs {e, f} as edge masks: swapping e for f in some maximal
     matching gives another one. The two matchings differ in e and f alone,
-    so every forcing set holds e or f. Only an edge sharing a vertex with e
-    can take its place, so f is looked for in ``near[e]``."""
-    pairs = set()
-    present = set(rows)
+    so every forcing set holds e or f. Each row goes in one bucket per edge,
+    keyed by the row without it; any two edges of one bucket are a pair."""
+    dropped: dict[int, int] = {}
     for row in rows:
         rest = row
         while rest:
             low = rest & -rest
             rest ^= low
-            others = near[low.bit_length() - 1] & ~row
-            while others:
-                f = others & -others
-                others ^= f
-                if row ^ low | f in present:
-                    pairs.add(low | f)
-    return pairs
+            dropped[row ^ low] = dropped.get(row ^ low, 0) | low
+    buckets = [mask_to_edges(edges) for edges in dropped.values() if edges & edges - 1]
+    return {1 << e | 1 << f for edges in buckets for e, f in combinations(edges, 2)}
 
 
 def _greedy_columns(cols: list[int], t: int) -> list[int]:
     """Pick the edge resolving the most still-identical row pairs until all
-    t rows are distinct; ties go to the lowest edge index. A chosen edge
-    splits no class afterwards, so its gain is 0 and it is never chosen
-    twice."""
-    # One class of all t rows, or none when a single row needs no test.
-    classes = [(1 << t) - 1] if t > 1 else []
+    t rows are distinct; ties go to the lowest edge index. Splitting classes
+    only lowers a gain, so an edge whose gain is 0 is dropped for good, a
+    chosen one included."""
+    # The classes of two rows or more, with their sizes: at first one of all
+    # t rows, or none when a single row needs no test.
+    classes = [((1 << t) - 1, t)] if t > 1 else []
+    live = list(enumerate(cols))
     chosen: list[int] = []
     while classes:
-        best_j = -1
-        best_gain = 0
-        for j, col in enumerate(cols):
+        best_j, best_gain = -1, 0
+        kept = []
+        for j, col in live:
             gain = 0
-            for cls in classes:
+            for cls, size in classes:
                 a = (cls & col).bit_count()
-                gain += a * (cls.bit_count() - a)
-            if gain > best_gain:
-                best_gain = gain
-                best_j = j
+                gain += a * (size - a)
+            if gain:
+                kept.append((j, col))
+                if gain > best_gain:
+                    best_j, best_gain = j, gain
+        live = kept
         # Distinct rows always leave at least one splitting column.
         chosen.append(best_j)
-        classes = _refine(classes, cols[best_j])
+        col = cols[best_j]
+        parts = (part for cls, _ in classes for part in (cls & col, cls & ~col))
+        classes = [(part, size) for part in parts if (size := part.bit_count()) > 1]
     return chosen
 
 
@@ -158,7 +156,8 @@ def phi_exact(
 
     Each round solves the supports known so far, at first the swap pairs,
     one connected component at a time, by an include-first search over edge
-    indices that is pruned by a greedy packing of disjoint unhit supports.
+    indices that is pruned by a greedy packing of disjoint unhit supports,
+    held as one bitmask over the supports' indices.
     It then adds the support of every pair of matchings that the union of
     the answers leaves indistinguishable. When there is none, the union
     forces, and as each round solved a relaxation, it is the
@@ -176,24 +175,22 @@ def phi_exact(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
     rows = maximal_matching_masks(g, budget)
-    answer, packing, nodes = _min_forcing_set(rows, edge_neighbourhoods(g), node_limit)
+    answer, packing, nodes = _min_forcing_set(rows, node_limit)
     greedy = _greedy_set(rows, g.m)
     edges = greedy if answer is None else mask_to_edges(answer)
     lower = max((len(rows) - 1).bit_length(), packing)
     return ForcingResult(edges, len(edges), answer is not None, lower, len(greedy), nodes)
 
 
-def _min_forcing_set(
-    rows: list[int], near: list[int], node_limit: int
-) -> tuple[int | None, int, int]:
-    """For the maximal matchings ``rows`` of a graph whose edges have the
-    closed neighbourhoods ``near``: their lexicographically smallest minimum
-    forcing set as an edge mask, or None once ``node_limit`` nodes run out;
-    the root packing of disjoint swap pairs; the nodes over all rounds."""
-    supports = _swap_pairs(rows, near)
+def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int, int]:
+    """For the maximal matchings ``rows``: their lexicographically smallest
+    minimum forcing set as an edge mask, or None once ``node_limit`` nodes
+    run out; the root packing of disjoint swap pairs; the nodes over all
+    rounds."""
+    supports = _swap_pairs(rows)
     parts = _components(supports)
     # Packings of disjoint components add up.
-    packing = sum(_packing(part, 0)[0] for part in parts)
+    packing = sum(_packing((1 << len(part)) - 1, 0, len(part), _index(part)[2]) for part in parts)
     nodes = 0
     while True:
         answer = 0
@@ -215,7 +212,10 @@ def _components(supports: set[int]) -> list[list[int]]:
     supports of each by size, then as sorted edge tuples. The packing takes
     them in that order, so swap pairs go by lowest edge, then lowest
     partner."""
-    supports = sorted(supports, key=lambda s: (s.bit_count(), mask_to_edges(s)))
+    # For masks of one size, sorted edge tuples rise as the bit strings read
+    # lowest edge first fall: the smaller tuple holds the first edge they differ in.
+    supports = sorted(supports, key=lambda s: f"{s:b}"[::-1], reverse=True)
+    supports.sort(key=int.bit_count)
     spans: list[int] = []
     for s in supports:
         joined = s
@@ -226,21 +226,30 @@ def _components(supports: set[int]) -> list[list[int]]:
     return [[s for s in supports if s & span] for span in spans]
 
 
-def _packing(supports: list[int], j: int) -> tuple[int, int]:
-    """Greedily pack the supports, cut to the edges from j on, into disjoint
-    sets in the given order; each packed one needs a chosen edge of its own.
-    Returns the packed count, or -1 when a cut support is empty, and the
-    union of the cut supports shifted down by j."""
-    used = union = count = 0
-    for s in supports:
-        cut = s >> j
-        if not cut:
-            return -1, 0
-        union |= cut
-        if not cut & used:
-            used |= cut
-            count += 1
-    return count, union
+def _index(supports: list[int]) -> tuple[list[int], list[int], list]:
+    """Number the supports in order. As masks over their indices: ``cols[e]``
+    holds those with edge e and ``gone[j]`` those with no edge from j on. The
+    cuts give, per support, its sorted edges and, for each k, the supports
+    meeting its edges from the k-th on: Σ|s| masks of len(supports) bits."""
+    cols = _column_masks(supports, max(s.bit_length() for s in supports))
+    suf = list(accumulate(reversed(cols), or_, initial=0))
+    gone = [suf[-1] ^ rest for rest in reversed(suf)]
+    edges = [mask_to_edges(s) for s in supports]
+    cuts = [(es, list(accumulate((cols[e] for e in reversed(es)), or_))[::-1]) for es in edges]
+    return cols, gone, cuts
+
+
+def _packing(unhit: int, j: int, cap: int, cuts: list) -> int:
+    """Greedily pack the ``unhit`` supports, each with an edge from j on and
+    cut to those edges, into disjoint sets in index order, and stop at
+    ``cap``; each packed one needs a chosen edge of its own. The lowest
+    unhit support is packed, and every one its cut meets is passed over."""
+    count = 0
+    while unhit and count < cap:
+        edges, meets = cuts[(unhit & -unhit).bit_length() - 1]
+        unhit &= ~meets[bisect_left(edges, j)]
+        count += 1
+    return count
 
 
 def _min_hitting_set(supports: list[int], node_limit: int) -> tuple[int | None, int]:
@@ -249,29 +258,27 @@ def _min_hitting_set(supports: list[int], node_limit: int) -> tuple[int | None, 
     run out. A branch dies once its size plus the packing reaches ``limit``,
     at first one more than a set of one edge per support, then the size of
     each set found, so include-first order finds that optimum first."""
+    cols, gone, cuts = _index(supports)
     best = None
     nodes = 0
     limit = len(supports) + 1
-    # Frames: next edge, chosen edges, unhit supports. Bounds are tested on
-    # pop, since ``limit`` can tighten while a frame waits.
-    stack = [(0, 0, supports)]
+    # Frames: next edge, chosen edges, unhit supports as a mask over their
+    # indices. Bounds are tested on pop: ``limit`` can tighten as one waits.
+    stack = [(0, 0, (1 << len(supports)) - 1)]
     while stack:
         j, chosen, unhit = stack.pop()
         size = chosen.bit_count()
-        packed, union = _packing(unhit, j)
-        if packed < 0 or size + packed >= limit:
+        if unhit & gone[j] or size + _packing(unhit, j, limit - size, cuts) >= limit:
             continue
         if not unhit:
-            best = chosen
-            limit = size
+            best, limit = chosen, size
             continue
         # Pass over the edges that meet no unhit support: a set holding one
         # has a smaller subset that hits the same supports.
-        j += (union & -union).bit_length() - 1
+        while not cols[j] & unhit:
+            j += 1
         nodes += 1
         if nodes > node_limit:
             return None, nodes
-        bit = 1 << j
-        stack.append((j + 1, chosen, unhit))
-        stack.append((j + 1, chosen | bit, [s for s in unhit if not s & bit]))
+        stack += (j + 1, chosen, unhit), (j + 1, chosen | 1 << j, unhit & ~cols[j])
     return best, nodes

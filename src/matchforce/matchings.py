@@ -125,12 +125,6 @@ def _neighbourhood_masks(edges: Sequence[tuple[int, int]]) -> list[int]:
     return [incident[u] | incident[v] for u, v in edges]
 
 
-def edge_neighbourhoods(g: Graph) -> list[int]:
-    """near[e]: the edges sharing a vertex with edge e, e included, as a
-    bitmask. These are the closed neighbourhoods of the line graph."""
-    return _neighbourhood_masks(g.edges)
-
-
 # Up to this many edges _search lists the matchings; above it the states of
 # _merge_states on the _scan_order are expanded. On coronas (Python 3.11,
 # one Xeon core) the state listing took 2.0-4.3x the search's time up to 18

@@ -176,6 +176,53 @@ def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("rows are distinct, so the full edge set always works")
 
 
+def list_packing(supports: list[int], j: int) -> tuple[int, int]:
+    """Greedily pack the supports, cut to the edges from j on, into disjoint
+    sets in the given order, passing over the list of every support. Returns
+    the packed count, or -1 when a cut support is empty, and the union of the
+    cut supports shifted down by j."""
+    used = union = count = 0
+    for s in supports:
+        cut = s >> j
+        if not cut:
+            return -1, 0
+        union |= cut
+        if not cut & used:
+            used |= cut
+            count += 1
+    return count, union
+
+
+def list_min_hitting_set(supports: list[int], node_limit: int) -> tuple[int | None, int]:
+    """The include-first hitting-set search with each frame's unhit supports
+    held as a list, as the package ran it before its supports became bits
+    of a mask: the lexicographically smallest minimum hitting set as an edge
+    mask, or None once ``node_limit`` nodes run out, and the nodes spent.
+    Its answers and node counts are the reference for the mask search."""
+    best = None
+    nodes = 0
+    limit = len(supports) + 1
+    stack = [(0, 0, supports)]
+    while stack:
+        j, chosen, unhit = stack.pop()
+        size = chosen.bit_count()
+        packed, union = list_packing(unhit, j)
+        if packed < 0 or size + packed >= limit:
+            continue
+        if not unhit:
+            best = chosen
+            limit = size
+            continue
+        j += (union & -union).bit_length() - 1
+        nodes += 1
+        if nodes > node_limit:
+            return None, nodes
+        bit = 1 << j
+        stack.append((j + 1, chosen, unhit))
+        stack.append((j + 1, chosen | bit, [s for s in unhit if not s & bit]))
+    return best, nodes
+
+
 def brute_ilp_constraints(
     rows: list[int], dedup: bool
 ) -> list[tuple[tuple[int, int], tuple[int, ...], tuple[tuple[int, int], ...]]]:

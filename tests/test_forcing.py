@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from itertools import combinations
 
@@ -8,11 +9,29 @@ from hypothesis import given, settings, strategies as st
 
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
-from matchforce.forcing import _swap_pairs, is_global_forcing_set, phi_exact, phi_greedy
-from matchforce.graph import Graph, complete, complete_bipartite, cycle, empty, path
+from matchforce.cli import main
+from matchforce.forcing import (
+    _components,
+    _index,
+    _min_hitting_set,
+    _packing,
+    _swap_pairs,
+    is_global_forcing_set,
+    phi_exact,
+    phi_greedy,
+)
+from matchforce.graph import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    empty,
+    path,
+    serialize_edge_list,
+)
 from matchforce.matchings import (
     BudgetExceededError,
-    edge_neighbourhoods,
+    mask_to_edges,
     maximal_matching_masks,
     summarize_matchings,
 )
@@ -21,6 +40,8 @@ from oracles import (
     brute_maximal_masks,
     brute_min_forcing,
     brute_swap_pairs,
+    list_min_hitting_set,
+    list_packing,
     min_vertex_cover,
     projections_distinct,
     small_instances,
@@ -199,12 +220,72 @@ def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
     assert result.greedy_size == 12
 
 
+@pytest.mark.parametrize(
+    "g,h,phi,nodes,digest",
+    [
+        (complete(3), path(3), 9, 1188, "a10b14b4abb7ed66d80a87a610618dd2a86e037b9fc83a9e91b085c323798269"),
+        (path(3), path(3), 8, 296, "fc99064b4ba55d7480b0c00bdd8bf8c7141f25267de34b308e8ef76604fc34b7"),
+    ],
+    ids=["K3oP3", "P3oP3"],
+)
+def test_phi_json_pins_node_count_and_bytes(g, h, phi, nodes, digest, tmp_path, capsys):
+    # Like the C4oP3 pin: a change in the search's visiting order or bound
+    # moves the node count, and with it the bytes of ``phi --json``.
+    graph_file = tmp_path / "G.el"
+    graph_file.write_text(serialize_edge_list(corona_product(g, h).graph))
+    assert main(["phi", "--json", "--in", str(graph_file)]) == 0
+    out = capsys.readouterr().out
+    assert f'"phi": {phi}, ' in out and out.endswith(f'"nodes": {nodes}}}\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+support_families = st.lists(
+    st.sets(st.integers(0, 13), min_size=1, max_size=8).map(lambda edges: sum(1 << e for e in edges)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(support_families, st.one_of(st.integers(1, 64), st.just(10**9)))
+@settings(max_examples=300, deadline=None)
+def test_mask_search_visits_the_list_search_nodes(supports, node_limit):
+    # The search over a mask of unhit supports must give the list search's
+    # answer after the same number of nodes, also when the limit cuts it off.
+    assert _min_hitting_set(supports, node_limit) == list_min_hitting_set(supports, node_limit)
+
+
+@given(support_families)
+@settings(max_examples=200, deadline=None)
+def test_mask_packing_equals_the_list_packing(supports):
+    _, gone, cuts = _index(supports)
+    everything = (1 << len(supports)) - 1
+    for j in range(len(gone)):
+        packed, _ = list_packing(supports, j)
+        assert bool(everything & gone[j]) == (packed < 0)
+        if packed >= 0:
+            assert _packing(everything, j, len(supports), cuts) == packed
+            assert _packing(everything, j, packed - 1, cuts) == max(packed - 1, 0)
+
+
+@given(st.sets(st.integers(1, (1 << 20) - 1), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_components_order_supports_by_size_then_edge_tuple(family):
+    order = sorted(family, key=lambda s: (s.bit_count(), mask_to_edges(s)))
+    rank = {s: i for i, s in enumerate(order)}
+    parts = _components(family)
+    assert sorted(s for part in parts for s in part) == sorted(family)
+    for part in parts:
+        assert part == sorted(part, key=rank.__getitem__)
+    # A span moves to the end whenever a support joins it.
+    assert [rank[part[-1]] for part in parts] == sorted(rank[part[-1]] for part in parts)
+
+
 @given(small_graphs())
 @settings(max_examples=80, deadline=None)
 def test_swap_graph_and_bound_equal_the_oracles(g):
     rows = maximal_matching_masks(g)
     expected = {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
-    assert _swap_pairs(rows, edge_neighbourhoods(g)) == expected
+    assert _swap_pairs(rows) == expected
     result = phi_exact(g)
     assert result.lower_bound <= result.size
     if g.m <= 8:

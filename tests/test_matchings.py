@@ -497,4 +497,3 @@ def test_neighbourhood_masks_in_any_order(g, rng):
     near = matchings._neighbourhood_masks(edges)
     for k, (u, v) in enumerate(edges):
         assert near[k] == sum(1 << j for j, edge in enumerate(edges) if {u, v} & set(edge))
-    assert matchings._neighbourhood_masks(g.edges) == matchings.edge_neighbourhoods(g)
