@@ -185,17 +185,17 @@ def phi_exact(
 def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int, int]:
     """For the maximal matchings ``rows``: their lexicographically smallest
     minimum forcing set as an edge mask, or None once ``node_limit`` nodes
-    run out; the root packing of disjoint swap pairs; the nodes over all
-    rounds."""
+    run out; the packing of disjoint swap pairs read from round 1's indexes;
+    the nodes over all rounds. Each round indexes each component once."""
     supports = _swap_pairs(rows)
-    parts = _components(supports)
+    indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
-    packing = sum(_packing((1 << len(part)) - 1, 0, len(part), _index(part)[2]) for part in parts)
+    packing = sum(_packing((1 << len(cuts)) - 1, 0, len(cuts), cuts) for *_, cuts in indexes)
     nodes = 0
     while True:
         answer = 0
-        for part in parts:
-            hit, used = _min_hitting_set(part, node_limit - nodes)
+        for index in indexes:
+            hit, used = _min_hitting_set(index, node_limit - nodes)
             nodes += used
             if hit is None:
                 return None, packing, nodes
@@ -204,7 +204,7 @@ def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int,
         if not missed:
             return answer, packing, nodes
         supports |= missed
-        parts = _components(supports)
+        indexes = [_index(part) for part in _components(supports)]
 
 
 def _components(supports: set[int]) -> list[list[int]]:
@@ -227,10 +227,11 @@ def _components(supports: set[int]) -> list[list[int]]:
 
 
 def _index(supports: list[int]) -> tuple[list[int], list[int], list]:
-    """Number the supports in order. As masks over their indices: ``cols[e]``
-    holds those with edge e and ``gone[j]`` those with no edge from j on. The
-    cuts give, per support, its sorted edges and, for each k, the supports
-    meeting its edges from the k-th on: Σ|s| masks of len(supports) bits."""
+    """Number one component's supports in order. As masks over their indices:
+    ``cols[e]`` holds those with edge e and ``gone[j]`` those with no edge
+    from j on. The cuts give, per support, its sorted edges and, for each k,
+    the supports meeting its edges from the k-th on: Σ|s| masks of
+    len(supports) bits."""
     cols = _column_masks(supports, max(s.bit_length() for s in supports))
     suf = list(accumulate(reversed(cols), or_, initial=0))
     gone = [suf[-1] ^ rest for rest in reversed(suf)]
@@ -252,19 +253,20 @@ def _packing(unhit: int, j: int, cap: int, cuts: list) -> int:
     return count
 
 
-def _min_hitting_set(supports: list[int], node_limit: int) -> tuple[int | None, int]:
-    """The lexicographically smallest minimum hitting set of ``supports``, as
-    an edge mask, and the nodes spent on it; None when ``node_limit`` nodes
-    run out. A branch dies once its size plus the packing reaches ``limit``,
-    at first one more than a set of one edge per support, then the size of
-    each set found, so include-first order finds that optimum first."""
-    cols, gone, cuts = _index(supports)
+def _min_hitting_set(index: tuple, node_limit: int) -> tuple[int | None, int]:
+    """The lexicographically smallest minimum hitting set of the supports
+    that :func:`_index` made ``index`` of, as an edge mask, and the nodes
+    spent on it; None when ``node_limit`` nodes run out. A branch dies once
+    its size plus the packing reaches ``limit``, at first one more than a
+    set of one edge per support, then the size of each set found, so
+    include-first order finds that optimum first."""
+    cols, gone, cuts = index
     best = None
     nodes = 0
-    limit = len(supports) + 1
+    limit = len(cuts) + 1
     # Frames: next edge, chosen edges, unhit supports as a mask over their
     # indices. Bounds are tested on pop: ``limit`` can tighten as one waits.
-    stack = [(0, 0, (1 << len(supports)) - 1)]
+    stack = [(0, 0, (1 << len(cuts)) - 1)]
     while stack:
         j, chosen, unhit = stack.pop()
         size = chosen.bit_count()

@@ -64,7 +64,9 @@ def parse_edge_list(text: str) -> Graph:
     Format: an optional first line ``n <count>`` declares the vertex count
     (otherwise it is one past the largest vertex index); every other line is
     ``<u> <v>`` with 0-based integers. ``#`` starts a comment and blank lines
-    are ignored. Errors carry the offending line number.
+    are ignored. Counts and vertices go through :func:`read_ascii_int`, so
+    ``+0`` is no vertex; ``-`` and digits, ``-0`` too, is a negative index.
+    Errors carry the offending line number.
     """
     declared_n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -84,15 +86,11 @@ def parse_edge_list(text: str) -> Graph:
         saw_data = True
         if len(tokens) != 2:
             raise GraphError(f"line {lineno}: expected '<u> <v>', got {line!r}")
-        try:
-            # int() also reads non-ASCII digits and "_" separators.
-            if not line.isascii() or "_" in line:
-                raise ValueError(line)
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: non-integer vertex in {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex index in ({u}, {v})")
+        u, v = map(read_ascii_int, tokens)
+        if u is None or v is None:
+            if None in map(read_ascii_int, (t.removeprefix("-") for t in tokens)):
+                raise GraphError(f"line {lineno}: non-integer vertex in {line!r}")
+            raise GraphError(f"line {lineno}: negative vertex index in ({', '.join(tokens)})")
         if u == v:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
         if declared_n is not None and (u >= declared_n or v >= declared_n):

@@ -41,6 +41,9 @@ class TestClosedForms:
     def test_factor_forcing_numbers(self):
         assert [phi_complete_even(k) for k in (1, 2, 3)] == [0, 2, 8]
         assert [phi_balanced_bipartite(k) for k in (1, 2, 3)] == [0, 1, 4]
+        for closed_form in (phi_complete_even, phi_balanced_bipartite):
+            with pytest.raises(ValueError):
+                closed_form(0)
 
     def test_path_corona_triangle_count(self):
         assert psi_path_corona_triangle(1) == 18  # 3^2 * F(3)

@@ -20,7 +20,15 @@ from matchforce import matchings
 from matchforce.bounds import GRADED_CHECKS, verify_bounds
 from matchforce.cli import build_parser, main
 from matchforce.corona import corona_product
-from matchforce.graph import complete, empty, parse_edge_list, path, serialize_edge_list, star
+from matchforce.graph import (
+    complete,
+    complete_bipartite,
+    empty,
+    parse_edge_list,
+    path,
+    serialize_edge_list,
+    star,
+)
 
 
 @pytest.fixture
@@ -48,6 +56,14 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--family", "path", "--n", "4")
         assert code == 0
         assert out == "n 4\n0 1\n1 2\n2 3\n"
+
+    def test_complete_bipartite(self, capsys):
+        out = serialize_edge_list(complete_bipartite(2, 3))
+        assert run(capsys, "gen", "--family", "complete_bipartite", "--a", "2", "--b", "3") == (0, out, "")
+
+    def test_single_parameter_family_needs_n(self, capsys):
+        want = (1, "", "error: family path requires --n\n")
+        assert run(capsys, "gen", "--family", "path") == want
 
     def test_bipartite_needs_both_parts(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "complete_bipartite", "--a", "2")
@@ -193,6 +209,8 @@ class TestLpRoundTrip:
         code, out, _ = run(capsys, "import-solution", "--in", k3_file, "--solution", str(sol))
         assert code == 0
         assert json.loads(out) == {"set": [0, 1], "objective": 2, "forcing": True}
+        sol.write_text("x1 1\n\n# x3 1\nx2 1\nx3 0\n")
+        assert run(capsys, "import-solution", "--in", k3_file, "--solution", str(sol)) == (0, out, "")
 
     def test_import_bad_solution(self, capsys, tmp_path, k3_file):
         sol = tmp_path / "sol.txt"
@@ -377,6 +395,9 @@ NON_ASCII_NUMERALS = {
     "value-underscore": ("solution", "x1 0_1\n"),
     "vertex-underscore": ("graph", "1 1_0\n"),
     "vertex-arabic-indic": ("graph", "1 \u0662\n"),
+    "vertex-plus": ("graph", "+0 1\n"),
+    "vertex-plus-second": ("graph", "0 +1\n"),
+    "vertex-minus-zero": ("graph", "-0 1\n"),
     "header-arabic-indic": ("graph", "n \u0663\n0 1\n"),
     "family-arabic-indic": ("family", "K\u0663"),
 }
@@ -406,6 +427,7 @@ def test_non_ascii_numerals_are_a_domain_error(capsys, tmp_path, k3_file, case):
 _LONG_NUMERAL = "9" * 5000
 LONG_NUMERALS = {
     "header": ("graph", f"n {_LONG_NUMERAL}\n0 1\n"),
+    "vertex": ("graph", f"0 {_LONG_NUMERAL}\n"),
     "family": ("family", f"K{_LONG_NUMERAL}"),
     "bipartite-part": ("family", f"K2,{_LONG_NUMERAL}"),
     "variable": ("solution", f"x{_LONG_NUMERAL} 1\n"),
@@ -478,6 +500,9 @@ def test_negative_vertex_keeps_its_message(capsys, tmp_path):
     bad.write_text("0 1\n-1 2\n")
     code, out, err = run(capsys, "psi", "--in", str(bad))
     assert (code, out, err) == (1, "", "error: line 2: negative vertex index in (-1, 2)\n")
+    bad.write_text("0 1\n1 -2\n")
+    code, out, err = run(capsys, "psi", "--in", str(bad))
+    assert (code, out, err) == (1, "", "error: line 2: negative vertex index in (1, -2)\n")
 
 @pytest.fixture
 def enumerated(monkeypatch):

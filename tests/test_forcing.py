@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
 from matchforce.cli import main
+from matchforce import forcing
 from matchforce.forcing import (
     _components,
     _index,
@@ -239,6 +240,18 @@ def test_phi_json_pins_node_count_and_bytes(g, h, phi, nodes, digest, tmp_path, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("g,rounds", [(cycle(4), 8), (complete(3), 6)], ids=["C4oP3", "K3oP3"])
+def test_each_round_indexes_each_component_once(g, rounds, monkeypatch):
+    # The root packing reads round 1's indexes, so it adds no build.
+    builds, parts = [], []
+    index, components = forcing._index, forcing._components
+    monkeypatch.setattr(forcing, "_index", lambda part: builds.append(part) or index(part))
+    monkeypatch.setattr(forcing, "_components", lambda s: parts.append(components(s)) or parts[-1])
+    assert phi_exact(corona_product(g, path(3)).graph).optimal
+    assert builds == [part for found in parts for part in found]
+    assert len(parts) == rounds
+
+
 support_families = st.lists(
     st.sets(st.integers(0, 13), min_size=1, max_size=8).map(lambda edges: sum(1 << e for e in edges)),
     min_size=1,
@@ -251,7 +264,7 @@ support_families = st.lists(
 def test_mask_search_visits_the_list_search_nodes(supports, node_limit):
     # The search over a mask of unhit supports must give the list search's
     # answer after the same number of nodes, also when the limit cuts it off.
-    assert _min_hitting_set(supports, node_limit) == list_min_hitting_set(supports, node_limit)
+    assert _min_hitting_set(_index(supports), node_limit) == list_min_hitting_set(supports, node_limit)
 
 
 @given(support_families)

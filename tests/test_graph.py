@@ -53,6 +53,10 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="out of range"):
             Graph(n=2, edges=((0, 2),))
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="nonnegative"):
+            Graph(n=-1, edges=())
+
 
 class TestParsing:
     def test_single_edge_with_header(self):

@@ -279,6 +279,8 @@ class TestCountingPass:
         for g in (empty(3), complete(3)):
             with pytest.raises(ValueError):
                 summarize_matchings(g, budget=0)
+            with pytest.raises(ValueError):
+                maximal_matching_masks(g, 0)
 
 
 class TestStateListing:
