@@ -85,7 +85,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     # The bytes json.dumps gives for {stat: value, "matchings": rows}, each
     # row a list of edge indices; there is always at least one row.
     render = matchings.mask_renderer([str(e) for e in range(g.m)], ", ")
-    rows = "], [".join(map(render, masks))
+    rows = "], [".join(render(masks))
     _emit(f'{{"{args.stat}": {value}, "matchings": [[{rows}]]}}\n', args.out)
     return 0
 

@@ -145,17 +145,19 @@ def export_lp(model: IlpModel) -> str:
     render = mask_renderer(names, " + ")
     if model.counts is not None:
         lines.extend(
-            f" c{i + 1}_{j + 1}: {render(key)} >= 1"
-            for (i, j), key in zip(model.labels, model.counts)
+            f" c{i + 1}_{j + 1}: {body} >= 1"
+            for (i, j), body in zip(model.labels, render(model.counts))
         )
     else:
         rows = model.rows
-        bodies = cache(render)
+        # Each distinct support is rendered once, in one batch.
+        bodies = dict.fromkeys(row ^ other for i, row in enumerate(rows) for other in rows[i + 1 :])
+        bodies = dict(zip(bodies, render(bodies)))
         for i, row in enumerate(rows):
             lines.extend(
-                f" c{i + 1}_{j + 1}: {bodies(row ^ rows[j])} >= 1" for j in range(i + 1, len(rows))
+                f" c{i + 1}_{j + 1}: {bodies[row ^ rows[j]]} >= 1" for j in range(i + 1, len(rows))
             )
-        # The lines hold every body by now; free the cache before the join.
+        # The lines hold every body by now; free the table before the join.
         del bodies
     lines.append("Binary")
     lines.extend(f" {name}" for name in names)

@@ -9,8 +9,8 @@ search and the ILP export all work on that list of rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     BALANCED_COMPLETE_BIPARTITE,
@@ -71,22 +71,26 @@ def mask_to_edges(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mask_renderer(names: list[str], sep: str) -> Callable[[int], str]:
-    """A function giving the ``sep``-joined names of the set bits of a mask,
-    bit k named ``names[k]``, read in one pass over its little-endian bytes."""
-    # One table per 8-name slice: each byte value indexes the joined names
-    # of its set bits, "" for zero.
+def mask_renderer(names: list[str], sep: str) -> Callable[[Iterable[int]], Iterator[str]]:
+    """A function giving, for each of a batch of masks, the ``sep``-joined
+    names of its set bits, bit k named ``names[k]``. Byte column k of the
+    masks' joined little-endian bytes is read through one table of names."""
+    # Table k maps each value of byte k to ``sep`` before each name it sets;
+    # a row joins its columns' texts less the first ``sep``. An edgeless
+    # graph still has one zero byte per mask.
     tables = []
-    for k in range(0, len(names), 8):
+    for k in range(0, len(names) or 1, 8):
         table = [""]
         for name in names[k : k + 8]:
             # Values with this (highest so far) bit set end with its name.
-            table += [f"{text}{sep}{name}" if text else name for text in table]
+            table += [f"{text}{sep}{name}" for text in table]
         tables.append(table)
     width = len(tables)
 
-    def render(mask: int) -> str:
-        return sep.join(filter(None, map(getitem, tables, mask.to_bytes(width, "little"))))
+    def render(masks: Iterable[int]) -> Iterator[str]:
+        blob = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+        columns = [map(table.__getitem__, blob[k::width]) for k, table in enumerate(tables)]
+        return map(str.removeprefix, map("".join, zip(*columns)), repeat(sep))
 
     return render
 
@@ -126,16 +130,11 @@ def _neighbourhood_masks(edges: Sequence[tuple[int, int]]) -> list[int]:
 
 
 # Up to this many edges _search lists the matchings; above it the states of
-# _merge_states on the _scan_order are expanded. On coronas (Python 3.11,
-# one Xeon core) the state listing took 2.0-4.3x the search's time up to 18
-# edges, 0.8-1.7x from 19 to 26 and 0.35-0.85x from 27 to 34 (medians per
-# edge count), and 4.8x on 1,500 random graphs of at most 16 edges.
+# _merge_states on the _scan_order are expanded. On 90 coronas (Python
+# 3.11, one Xeon core) the state listing took 2.0-6.5x the search's time up
+# to 18 edges, 0.7-1.5x from 19 to 24 and 0.26-0.65x from 25 to 34 (medians
+# per edge count), and 5.2x in sum on 1,500 random graphs of at most 16 edges.
 _RELABEL_ABOVE = 24
-
-# _REVERSED_BITS[b] is byte b with its bits in reverse order. Translating the
-# little-endian bytes of a word through it and reading them back big-endian
-# reverses the whole word.
-_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _scan_order(g: Graph) -> list[int]:
@@ -221,10 +220,11 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     the states of :func:`_merge_states`, whose count checks the budget before
     any row exists; a pass whose states outgrow the budget hands the graph to
     the search. The expansion builds each matching as a key in which edge e
-    is bit m - 1 - e. Two distinct maximal matchings never contain one
-    another, so the first in lexicographic order holds the lowest edge of
-    their symmetric difference and has the larger key. Sorting the keys in
-    descending order and reversing their bits gives the masks in order.
+    is bit e, the row itself, and bit 2m - 1 - e, its place in the order.
+    Two distinct maximal matchings never contain one another, so the first
+    in lexicographic order holds the lowest edge of their symmetric
+    difference and has the larger key. Sorting the keys in descending order
+    and clearing their top m bits gives the masks in order.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -238,13 +238,12 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
         return _search(g, budget)
     if levels[m][0][0] > budget:
         raise _over_budget(budget)
-    out = _expand_states(levels, near, dead, [1 << (m - 1 - e) for e in order])
+    out = _expand_states(levels, near, dead, order)
     out.sort(reverse=True)
-    width = (m + 7) // 8
-    pad = 8 * width - m
-    for r, key in enumerate(out):
-        reversed_bytes = key.to_bytes(width, "little").translate(_REVERSED_BITS)
-        out[r] = int.from_bytes(reversed_bytes, "big") >> pad
+    # Clear the order bits 4,096 rows at a time, so one chunk is copied at once.
+    row_bits = (1 << m) - 1
+    for start in range(0, len(out), 4096):
+        out[start : start + 4096] = map(row_bits.__and__, out[start : start + 4096])
     return out
 
 
@@ -334,19 +333,21 @@ def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> 
     return levels
 
 
-def _expand_states(levels: dict, near: list[int], dead: list[int], key: list[int]) -> list[int]:
-    """Every maximal matching of the kept ``levels`` as an OR of keys, built
-    from the last position back; a list is dropped once its parents read it."""
+def _expand_states(levels: dict, near: list[int], dead: list[int], order: list[int]) -> list[int]:
+    """Every maximal matching of the kept ``levels`` as an OR of keys, edge
+    e = order[j] at position j having key 2^(2m - 1 - e) + 2^e, built from
+    the last position back; a list is dropped once its parents read it."""
     m = len(near)
     done = {(m, 0): [0]}
     for j in range(m - 1, -1, -1):
+        key = 1 << (2 * m - 1 - order[j]) | 1 << order[j]
         for state in levels.get(j, ()):
             rows: list[int] = []
             for nxt, child, took in _children(state, j, near, dead):
                 entry = levels[nxt][child]
                 entry[3] -= 1
                 tail = done[nxt, child] if entry[3] else done.pop((nxt, child))
-                rows += [key[j] | s for s in tail] if took else tail
+                rows += [key | s for s in tail] if took else tail
             done[j, state] = rows
     return done[0, (1 << m) - 1]
 
@@ -354,14 +355,9 @@ def _expand_states(levels: dict, near: list[int], dead: list[int], key: list[int
 def _summarize_masks(masks: list[int], n: int) -> MatchingSummary:
     """:func:`summarize_matchings` on the enumerated maximal matchings of an
     n-vertex graph."""
-    sizes = [mask.bit_count() for mask in masks]
-    nu = max(sizes)
-    return MatchingSummary(
-        psi=len(sizes),
-        nu=nu,
-        sat=min(sizes),
-        has_perfect=2 * nu == n,
-    )
+    nu = max(map(int.bit_count, masks))
+    sat = min(map(int.bit_count, masks))
+    return MatchingSummary(psi=len(masks), nu=nu, sat=sat, has_perfect=2 * nu == n)
 
 
 def is_randomly_matchable(g: Graph, budget: int = DEFAULT_BUDGET) -> RandomlyMatchableVerdict:

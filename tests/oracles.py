@@ -9,6 +9,8 @@ and every equal split.
 
 from __future__ import annotations
 
+import math
+import operator
 from itertools import combinations
 
 from matchforce import Graph, complete, complete_bipartite, corona_product, cycle, empty, path, star
@@ -257,17 +259,25 @@ def reference_lp(num_edges: int, rows: list[int], dedup: bool) -> str:
     return "".join(line + "\n" for line in out)
 
 
+def _copy_rows(h: Graph) -> tuple[list[int], list[int]]:
+    """The maximal matchings of H, and those of every H − u, u over the
+    vertices of H: a copy's matchings when its spine vertex is covered by a
+    spine edge, and when it takes a join edge to u."""
+    # H − u keeps u as an isolated vertex, which changes no matching.
+    joined = [
+        row
+        for u in range(h.n)
+        for row in brute_maximal_masks(Graph(h.n, tuple(e for e in h.edges if u not in e)))
+    ]
+    return brute_maximal_masks(h), joined
+
+
 def _copy_counts(h: Graph) -> tuple[int, int, int]:
     """Ψ(H), a = Σ_u Ψ(H − u) and b, the perfect matchings of H: the weights
     of a covered, a joined and a free spine vertex in :func:`corona_psi`."""
-    h_rows = brute_maximal_masks(h)
-    # H − u keeps u as an isolated vertex, which changes no matching.
-    a = sum(
-        len(brute_maximal_masks(Graph(h.n, tuple(e for e in h.edges if u not in e))))
-        for u in range(h.n)
-    )
+    h_rows, joined = _copy_rows(h)
     b = sum(1 for row in h_rows if 2 * row.bit_count() == h.n)
-    return len(h_rows), a, b
+    return len(h_rows), len(joined), b
 
 
 def corona_psi(g: Graph, h: Graph) -> int:
@@ -311,21 +321,57 @@ def corona_psi(g: Graph, h: Graph) -> int:
     return total
 
 
+def _path_transfer(n: int, add, mul, zero, one, closed, joined, free):
+    """The transfer matrix along the spine 0 − 1 − … − (n − 1), over the
+    semiring (``add``, ``mul``) with identities ``zero`` and ``one``.
+
+    After spine vertex i the partial sum is split by what i does: it opens a
+    matching edge to i + 1 (``opened``), it is a free vertex of I
+    (``aside``), or it is covered by the edge from i − 1 or by a join edge
+    (``done``). An edge of M weighs ``closed`` when it closes, a join edge
+    ``joined`` and a vertex of I ``free``; no two vertices of I are
+    neighbours.
+    """
+    opened, aside, done = zero, zero, one
+    for _ in range(n):
+        opened, aside, done = (
+            add(aside, done),
+            mul(free, done),
+            add(mul(joined, add(aside, done)), mul(closed, opened)),
+        )
+    return add(aside, done)
+
+
 def path_corona_psi(n: int, h: Graph) -> int:
-    """Ψ(P_n∘H) by a transfer matrix along the spine 0 − 1 − … − (n − 1).
+    """Ψ(P_n∘H) by a transfer matrix along the spine.
 
     It sums the terms of :func:`corona_psi` vertex by vertex, in n steps
-    instead of 2^(n − 1) · 2^n. After spine vertex i the partial sum is
-    split by what i does: it opens a matching edge to i + 1 (``opened``), it
-    is a free vertex of I (``aside``), or it is covered by the edge from
-    i − 1 or by a join edge (``done``). An edge of M weighs Ψ(H)² when it
-    closes, and no two vertices of I are neighbours.
+    instead of 2^(n − 1) · 2^n: an edge of M weighs Ψ(H)², a join edge
+    Σ_u Ψ(H − u) and a free vertex the perfect matchings of H.
     """
     psi_h, a, b = _copy_counts(h)
-    opened, aside, done = 0, 0, 1
-    for _ in range(n):
-        opened, aside, done = aside + done, b * done, a * (aside + done) + psi_h**2 * opened
-    return aside + done
+    return _path_transfer(n, operator.add, operator.mul, 0, 1, psi_h**2, a, b)
+
+
+def path_corona_nu_sat(n: int, h: Graph) -> tuple[int, int]:
+    """ν and s of P_n∘H: the transfer matrix of :func:`path_corona_psi` over
+    (max, +) and over (min, +).
+
+    An edge of M weighs 1 plus the largest (smallest) maximal matchings of
+    its two copies of H, a join edge to u 1 plus that of H − u, and a free
+    spine vertex the n_H / 2 edges of a perfect matching of its copy, which
+    rules it out when H has none.
+    """
+    h_rows, joined = _copy_rows(h)
+    h_sizes = [row.bit_count() for row in h_rows]
+    joined_sizes = [row.bit_count() for row in joined]
+    has_perfect = 2 * max(h_sizes) == h.n
+    out = []
+    for best, unreachable in ((max, -math.inf), (min, math.inf)):
+        free = h.n // 2 if has_perfect else unreachable
+        closed, join = 1 + 2 * best(h_sizes), 1 + best(joined_sizes)
+        out.append(_path_transfer(n, best, operator.add, unreachable, 0, closed, join, free))
+    return out[0], out[1]
 
 
 def small_instances(max_edges: int = 8) -> list[tuple[str, Graph]]:

@@ -21,6 +21,7 @@ from matchforce.bounds import GRADED_CHECKS, verify_bounds
 from matchforce.cli import build_parser, main
 from matchforce.corona import corona_product
 from matchforce.graph import (
+    Graph,
     complete,
     complete_bipartite,
     empty,
@@ -103,11 +104,22 @@ class TestCounts:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 41])
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 16, 17, 25, 30, 31, 41, 45, 46])
     def test_json_bytes_equal_json_dumps(self, capsys, tmp_path, m):
         # Edge counts on both sides of the byte boundaries of a row mask;
-        # the 41 edges are P6oK3, with 9,477 rows.
-        g = {0: empty(3), 41: corona_product(path(6), complete(3)).graph}.get(m) or path(m + 1)
+        # the 41 edges are P6oK3, with 9,477 rows. Past 24 edges the rows
+        # come from the state listing, whose m-bit rows and 2m-bit sort keys
+        # sit on both sides of CPython's 30-bit digit boundaries at 25, 30,
+        # 31, 45 and 46 edges: there, m - 3 disjoint edges and then a
+        # triangle give 3 rows.
+        if m == 41:
+            g = corona_product(path(6), complete(3)).graph
+        elif m > 24:
+            k = m - 3
+            triangle = tuple((2 * k + u, 2 * k + v) for u, v in complete(3).edges)
+            g = Graph(2 * k + 3, tuple((2 * i, 2 * i + 1) for i in range(k)) + triangle)
+        else:
+            g = empty(3) if m == 0 else path(m + 1)
         assert g.m == m
         target = tmp_path / "g.el"
         target.write_text(serialize_edge_list(g))

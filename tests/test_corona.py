@@ -4,12 +4,28 @@ import json
 
 import pytest
 
+from matchforce import cli
 from matchforce.bounds import psi_path_corona_triangle
 from matchforce.corona import corona_product, partition_to_json
-from matchforce.graph import Graph, GraphError, complete, complete_bipartite, cycle, path, star
-from matchforce.matchings import summarize_matchings
+from matchforce.graph import (
+    Graph,
+    GraphError,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    serialize_edge_list,
+    star,
+)
+from matchforce.matchings import MatchingSummary, summarize_matchings
 
-from oracles import corona_psi, degrees, path_corona_psi
+from oracles import (
+    corona_psi,
+    degrees,
+    path_corona_nu_sat,
+    path_corona_psi,
+    vertex_branch_maximal_masks,
+)
 
 
 @pytest.fixture
@@ -140,6 +156,7 @@ PSI_FACTORS = [
     ("C5", cycle(5)),
     ("S4", star(4)),
 ]
+PATH_SUMMARY_FACTORS = [("K3", complete(3)), ("P3", path(3)), ("C4", cycle(4))]
 # Every ordered pair whose corona has at most 30 edges: 59 of the 100.
 PSI_PAIRS = [
     (f"{g_name}o{h_name}", g, h)
@@ -174,3 +191,33 @@ def test_counting_pass_reaches_criterion_9_on_long_paths(n, psi):
     g = corona_product(path(n), complete(3)).graph
     assert summarize_matchings(g, budget=10**15).psi == psi_path_corona_triangle(n - 1) == psi
     assert path_corona_psi(n, complete(3)) == psi
+
+
+@pytest.mark.parametrize("name,h", PSI_FACTORS, ids=[name for name, _ in PSI_FACTORS])
+def test_path_transfer_matrix_nu_and_sat_equal_the_vertex_branching(name, h):
+    # The coronas within the 30 edges of PSI_PAIRS, spine lengths 1 to 4.
+    for n in range(1, 5):
+        g = corona_product(path(n), h).graph
+        if g.m <= 30:
+            sizes = [row.bit_count() for row in vertex_branch_maximal_masks(g)]
+            assert path_corona_nu_sat(n, h) == (max(sizes), min(sizes))
+
+
+@pytest.mark.parametrize("name,h", PATH_SUMMARY_FACTORS, ids=[n for n, _ in PATH_SUMMARY_FACTORS])
+def test_counting_pass_summary_equals_the_transfer_matrix(name, h):
+    # P20oC4 has 179 edges and about 1.1e20 maximal matchings.
+    for n in range(1, 21):
+        g = corona_product(path(n), h).graph
+        nu, sat = path_corona_nu_sat(n, h)
+        want = MatchingSummary(path_corona_psi(n, h), nu, sat, has_perfect=2 * nu == g.n)
+        assert summarize_matchings(g, budget=10**30) == want
+
+
+@pytest.mark.parametrize("stat", ["nu", "sat"])
+def test_json_report_figures_equal_the_transfer_matrix(stat, capsys, tmp_path):
+    # The --json figures come from the 9,477 listed rows of P6oK3.
+    source = tmp_path / "P6oK3.el"
+    source.write_text(serialize_edge_list(corona_product(path(6), complete(3)).graph))
+    assert cli.main([stat, "--json", "--in", str(source)]) == 0
+    want = dict(zip(("nu", "sat"), path_corona_nu_sat(6, complete(3))))[stat]
+    assert json.loads(capsys.readouterr().out)[stat] == want

@@ -146,8 +146,8 @@ def test_support_renderer_joins_the_names_of_set_bits(case):
     names = [f"x{k}" for k in range(1, m + 1)]
     for sep in (" + ", ", "):
         render = mask_renderer(names, sep)
-        for mask in masks:
-            assert render(mask) == sep.join(names[e] for e in range(m) if mask >> e & 1)
+        want = [sep.join(names[e] for e in range(m) if mask >> e & 1) for mask in masks]
+        assert list(render(masks)) == want
 
 
 @pytest.mark.parametrize("extra", [(), ("--no-dedup",)], ids=["dedup", "nodedup"])
@@ -168,16 +168,17 @@ def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_
 
 
 def test_no_dedup_export_renders_each_support_once(monkeypatch):
-    calls = 0
+    rendered = 0
     make_renderer = ilp.mask_renderer
 
     def counting_renderer(names, sep):
         render = make_renderer(names, sep)
 
-        def counted(support):
-            nonlocal calls
-            calls += 1
-            return render(support)
+        def counted(supports):
+            nonlocal rendered
+            supports = list(supports)
+            rendered += len(supports)
+            return render(supports)
 
         return counted
 
@@ -186,7 +187,7 @@ def test_no_dedup_export_renders_each_support_once(monkeypatch):
     text = export_lp(build_model(g, dedup=False))
     psi = len(maximal_matching_masks(g))
     assert text.count(">= 1") == psi * (psi - 1) // 2
-    assert calls == len(build_model(g).counts)
+    assert rendered == len(build_model(g).counts)
 
 
 class TestExport:

@@ -322,6 +322,22 @@ class TestStateListing:
         assert len(rows) == 103_328
         assert peak <= 8_000_000
 
+    def test_set_up_holds_no_key_per_edge(self):
+        # 5,000 disjoint edges have one maximal matching. The set-up's
+        # neighbourhood and dead masks are O(m^2) bits; a list of one m-bit
+        # key per edge on top of them peaked at 11.4 MB, and a list of the
+        # 2m-bit keys at 14.7 MB. Building each key at its position peaks
+        # at 9.5 MB.
+        g = Graph(10_000, tuple((2 * i, 2 * i + 1) for i in range(5_000)))
+        tracemalloc.start()
+        try:
+            rows = maximal_matching_masks(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [(1 << 5_000) - 1]
+        assert peak <= 10_500_000
+
 
 def _dense_graphs(seed, count):
     # 8 to 10 vertices and 25 to 34 edges: past the search's 24, and most

@@ -2,8 +2,8 @@
 
 ``tracing.install`` raises when a traced function, ``forcing.phi_greedy`` or
 ``matchings.DEFAULT_BUDGET`` is gone, and its record hooks read the results
-of ``build_model``, ``export_lp`` and ``phi_exact``; either failure makes a
-traced benchmark run exit 1. The harness module is imported from ``bench/``
+of ``maximal_matching_masks`` (a list), ``build_model``, ``export_lp`` (a
+str) and ``phi_exact``; either failure makes a traced benchmark run exit 1. The harness module is imported from ``bench/``
 as it stands and is not changed here.
 """
 
@@ -36,6 +36,7 @@ def test_traced_cli_calls_run_and_record_every_row_pair(tracing, tmp_path):
     graphs = {
         "C4oK2": corona_product(cycle(4), complete(2)).graph,
         "P3oK2": corona_product(path(3), complete(2)).graph,
+        "P5oK3": corona_product(path(5), complete(3)).graph,
     }
     files = {}
     for name, g in graphs.items():
@@ -50,6 +51,8 @@ def test_traced_cli_calls_run_and_record_every_row_pair(tracing, tmp_path):
         ["import-solution", "--in", str(files["C4oK2"]), "--solution", str(solution)],
         ["phi", "--json", "--in", str(files["P3oK2"])],
         ["psi", "--json", "--in", str(files["P3oK2"])],
+        # 34 edges: the rows come from the state listing.
+        ["psi", "--json", "--in", str(files["P5oK3"])],
     ]
     tracer = tracing.Tracer()
     tracing.install(tracer)
@@ -68,3 +71,6 @@ def test_traced_cli_calls_run_and_record_every_row_pair(tracing, tmp_path):
     assert len(exports) == 3 and all(s.info["bytes"] > 0 for s in exports)
     phi = [s for s in tracer.spans if s.name == "forcing.phi_exact"]
     assert len(phi) == 1 and set(phi[0].info) == {"nodes", "size", "lower", "greedy"}
+    last = [s for s in tracer.spans if s.name == "cli.main"][-1]
+    listings = [s for s in tracer.spans if s.name == "matchings.maximal_matching_masks"]
+    assert [s.info["rows"] for s in listings if s.parent == last.id] == [1944]
