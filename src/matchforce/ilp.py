@@ -167,7 +167,8 @@ def export_lp(model: IlpModel) -> str:
 
 
 def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
-    """Read a solver solution: lines ``x<i> <value>``, unlisted variables 0.
+    """Read a solver solution: lines ``x<i> <value>``, each variable named
+    as :func:`export_lp` writes it, unlisted variables 0.
 
     Values within 1e-6 of an integer are rounded and must land on 0 or 1.
     Returns the selected edge set (0-based) and the objective value. The
@@ -184,7 +185,7 @@ def import_solution(text: str, g: Graph) -> tuple[tuple[int, ...], int]:
             raise SolutionFormatError(f"line {lineno}: expected 'x<i> <value>'")
         name, value_text = parts
         index = read_ascii_int(name[1:]) if name.startswith("x") else None
-        if index is None:
+        if index is None or name != f"x{index}":
             raise SolutionFormatError(f"line {lineno}: unknown variable {name!r}")
         if not 1 <= index <= g.m:
             raise SolutionFormatError(

@@ -1,5 +1,7 @@
 """Maximal matchings by one exhaustive search in edge-index order, and by a
-pass over merged search states that counts them and, past 24 edges, lists them.
+pass over merged search states that counts them and, past 24 edges, lists
+them. :func:`_merge_states` is the one entry into that pass; a pass whose
+states outgrow their limit hands the graph to the search.
 
 A maximal matching is held only as an integer bitmask over edge indices: one
 row of the matchings/edges incidence matrix. The enumeration, the forcing-set
@@ -119,21 +121,12 @@ def is_maximal_matching(g: Graph, edges: Iterable[int]) -> bool:
     return sat is not None and all(sat & ((1 << u) | (1 << v)) for u, v in g.edges)
 
 
-def _neighbourhood_masks(edges: Sequence[tuple[int, int]]) -> list[int]:
-    """near[k]: the positions of the edges sharing a vertex with edges[k],
-    k included, as a bitmask over the sequence."""
-    incident: dict[int, int] = {}
-    for k, (u, v) in enumerate(edges):
-        incident[u] = incident.get(u, 0) | 1 << k
-        incident[v] = incident.get(v, 0) | 1 << k
-    return [incident[u] | incident[v] for u, v in edges]
-
-
 # Up to this many edges _search lists the matchings; above it the states of
-# _merge_states on the _scan_order are expanded. On 90 coronas (Python
-# 3.11, one Xeon core) the state listing took 2.0-6.5x the search's time up
-# to 18 edges, 0.7-1.5x from 19 to 24 and 0.26-0.65x from 25 to 34 (medians
-# per edge count), and 5.2x in sum on 1,500 random graphs of at most 16 edges.
+# _merge_states are expanded, unless they pass half the budget. On 90
+# coronas (Python 3.11, one Xeon core) the state listing took 2.0-6.5x the
+# search's time up to 18 edges, 0.7-1.5x from 19 to 24 and 0.26-0.65x from
+# 25 to 34 (medians per edge count), and 5.2x in sum on 1,500 random graphs
+# of at most 16 edges.
 _RELABEL_ABOVE = 24
 
 
@@ -165,11 +158,16 @@ def _scan_order(g: Graph) -> list[int]:
 
 
 def _scan_setup(edges: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """near[k], the closed neighbourhood of position k of ``edges``, and
-    dead[j], the positions whose neighbours all lie below j: once a search
-    reaches j, an excluded one that is still addable can never be blocked
-    again. dead[m] holds every position."""
-    near = _neighbourhood_masks(edges)
+    """near[k], the positions of the edges sharing a vertex with edges[k], k
+    included, as a bitmask over the sequence, and dead[j], the positions
+    whose neighbours all lie below j: once a search reaches j, an excluded
+    one that is still addable can never be blocked again. dead[m] holds
+    every position."""
+    incident: dict[int, int] = {}
+    for k, (u, v) in enumerate(edges):
+        incident[u] = incident.get(u, 0) | 1 << k
+        incident[v] = incident.get(v, 0) | 1 << k
+    near = [incident[u] | incident[v] for u, v in edges]
     dead = [0] * (len(edges) + 1)
     for k, nb in enumerate(near):
         dead[nb.bit_length()] |= 1 << k
@@ -216,9 +214,9 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     exist.
 
     Graphs of at most ``_RELABEL_ABOVE`` edges are listed by :func:`_search`.
-    Larger ones are decided in :func:`_scan_order` and listed by expanding
-    the states of :func:`_merge_states`, whose count checks the budget before
-    any row exists; a pass whose states outgrow the budget hands the graph to
+    Larger ones are listed by expanding the kept states of
+    :func:`_merge_states`, whose count checks the budget before any row
+    exists; a pass whose kept states pass half the budget hands the graph to
     the search. The expansion builds each matching as a key in which edge e
     is bit e, the row itself, and bit 2m - 1 - e, its place in the order.
     Two distinct maximal matchings never contain one another, so the first
@@ -228,20 +226,13 @@ def maximal_matching_masks(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    m = g.m
-    if m <= _RELABEL_ABOVE:
+    scan = _merge_states(g, budget, keep=True) if g.m > _RELABEL_ABOVE else None
+    if scan is None:
         return _search(g, budget)
-    order = _scan_order(g)
-    near, dead = _scan_setup([g.edges[e] for e in order])
-    levels = _merge_states(near, dead, budget, keep=True)
-    if levels is None:
-        return _search(g, budget)
-    if levels[m][0][0] > budget:
-        raise _over_budget(budget)
-    out = _expand_states(levels, near, dead, order)
+    out = _expand_states(*scan)
     out.sort(reverse=True)
     # Clear the order bits 4,096 rows at a time, so one chunk is copied at once.
-    row_bits = (1 << m) - 1
+    row_bits = (1 << g.m) - 1
     for start in range(0, len(out), 4096):
         out[start : start + 4096] = map(row_bits.__and__, out[start : start + 4096])
     return out
@@ -259,10 +250,9 @@ def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSumma
     """Count the maximal matchings, and find nu, the saturation number and
     perfect-matching existence, without listing a matching.
 
-    The figures come from the merged states of :func:`_merge_states` on the
-    :func:`_scan_order`. On a scan that keeps neighbours close the states
-    are few even when the count is exponential: 294 on P20 o K3, whose count
-    is 38,166,342,053,346.
+    The figures come from the merged states of :func:`_merge_states`. On a
+    scan that keeps neighbours close the states are few even when the count
+    is exponential: 294 on P20 o K3, whose count is 38,166,342,053,346.
 
     Raises :class:`BudgetExceededError` exactly when more than ``budget``
     maximal matchings exist, as the listing does. A pass that reaches more
@@ -271,13 +261,10 @@ def summarize_matchings(g: Graph, budget: int = DEFAULT_BUDGET) -> MatchingSumma
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    near, dead = _scan_setup([g.edges[e] for e in _scan_order(g)])
-    levels = _merge_states(near, dead, budget, keep=False)
-    if levels is None:
+    scan = _merge_states(g, budget, keep=False)
+    if scan is None:
         return _summarize_masks(_search(g, budget), g.n)
-    psi, sat, nu, _ = levels[g.m][0]
-    if psi > budget:
-        raise _over_budget(budget)
+    psi, sat, nu, _ = scan[3][g.m][0]
     return MatchingSummary(psi=psi, nu=nu, sat=sat, has_perfect=2 * nu == g.n)
 
 
@@ -301,9 +288,15 @@ def _children(state: int, j: int, near: list[int], dead: list[int]) -> list[tupl
     return out
 
 
-def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> dict | None:
-    """The search of :func:`_search`, on the positions of ``near``, with its
-    frames merged into states; None once more than ``budget`` states arise.
+def _merge_states(
+    g: Graph, budget: int, keep: bool
+) -> tuple[list[int], list[int], list[int], dict] | None:
+    """The search of :func:`_search` on the :func:`_scan_order` of ``g``,
+    with its frames merged into states, as (order, near, dead, levels) of
+    :func:`_scan_setup` on that order. Raises :class:`BudgetExceededError`
+    when more than ``budget`` maximal matchings exist, and gives None once
+    the states outgrow their limit: ``budget``, or half of it when levels
+    are kept, since a kept state weighs about two rows.
 
     Once position j is decided, what a frame can still become depends only
     on its undecided free positions (todo) and its excluded, still addable
@@ -312,7 +305,10 @@ def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> 
     todo | pending, to [count, smallest size, largest size, parents]. Levels
     are dropped once expanded unless kept; every frame ends in levels[m][0].
     """
-    m = len(near)
+    order = _scan_order(g)
+    near, dead = _scan_setup([g.edges[e] for e in order])
+    m = g.m
+    limit = budget // 2 if keep else budget
     levels = {0: {(1 << m) - 1: [1, 0, 0, 0]}}
     states = 1
     for j in range(m):
@@ -322,7 +318,7 @@ def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> 
                 seen = into.get(child)
                 if seen is None:
                     states += 1
-                    if states > budget:
+                    if states > limit:
                         return None
                     into[child] = [count, lo + took, hi + took, 1]
                 else:
@@ -330,10 +326,12 @@ def _merge_states(near: list[int], dead: list[int], budget: int, keep: bool) -> 
                     seen[1] = min(seen[1], lo + took)
                     seen[2] = max(seen[2], hi + took)
                     seen[3] += 1
-    return levels
+    if levels[m][0][0] > budget:
+        raise _over_budget(budget)
+    return order, near, dead, levels
 
 
-def _expand_states(levels: dict, near: list[int], dead: list[int], order: list[int]) -> list[int]:
+def _expand_states(order: list[int], near: list[int], dead: list[int], levels: dict) -> list[int]:
     """Every maximal matching of the kept ``levels`` as an OR of keys, edge
     e = order[j] at position j having key 2^(2m - 1 - e) + 2^e, built from
     the last position back; a list is dropped once its parents read it."""

@@ -546,6 +546,43 @@ def test_each_graph_is_enumerated_once(enumerated, capsys, k3_file):
     assert enumerated == [complete(3)]
 
 
+@pytest.mark.parametrize("spine,h", [(path(4), complete(3)), (path(3), complete(2))], ids=["P4oK3", "P3oK2"])
+@pytest.mark.parametrize(
+    "argv,lists",
+    [
+        (["psi"], False),
+        (["psi", "--json"], True),
+        (["nu"], False),
+        (["randomly-matchable"], False),
+        (["phi", "--json"], True),
+        (["export-lp"], True),
+        (["verify-forcing", "--edges", "0"], True),
+        (["import-solution"], True),
+    ],
+    ids=["psi", "psi-json", "nu", "randomly-matchable", "phi-json", "export-lp", "verify-forcing", "import-solution"],
+)
+def test_each_command_enumerates_once(enumerated, monkeypatch, capsys, tmp_path, spine, h, argv, lists):
+    # A count runs the merged-state pass once; a listing lists once, and runs
+    # the pass only past 24 edges (P4oK3 has 27, P3oK2 11).
+    g = corona_product(spine, h).graph
+    target = tmp_path / "g.el"
+    target.write_text(serialize_edge_list(g))
+    if argv[0] == "import-solution":
+        (tmp_path / "sol.txt").write_text("x1 1\n")
+        argv = [*argv, "--solution", str(tmp_path / "sol.txt")]
+    scans = []
+    original = matchings._merge_states
+
+    def scanning(graph, *args, **kwargs):
+        scans.append(graph)
+        return original(graph, *args, **kwargs)
+
+    monkeypatch.setattr(matchings, "_merge_states", scanning)
+    assert run(capsys, argv[0], "--in", str(target), *argv[1:])[0] == 0
+    assert enumerated == ([g] if lists else [])
+    assert scans == ([g] if not lists or g.m > matchings._RELABEL_ABOVE else [])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["psi"], ["phi", "--json"], ["export-lp"], ["randomly-matchable"]],

@@ -235,8 +235,11 @@ class TestImport:
     def test_unknown_variable_rejected(self):
         with pytest.raises(SolutionFormatError, match="out of range"):
             import_solution("x9 1\n", complete(3))
-        with pytest.raises(SolutionFormatError, match="unknown variable"):
-            import_solution("y1 1\n", complete(3))
+        for name in ("y1", "x01", "x007"):
+            with pytest.raises(SolutionFormatError, match="unknown variable"):
+                import_solution(f"{name} 1\n", complete(3))
+        with pytest.raises(SolutionFormatError, match="out of range"):
+            import_solution("x0 1\n", complete(3))
 
     def test_duplicate_assignment_rejected(self):
         with pytest.raises(SolutionFormatError, match="duplicate"):

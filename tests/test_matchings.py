@@ -207,14 +207,19 @@ def test_summary_invariants(name, graph):
 
 @pytest.fixture
 def passes(monkeypatch):
-    # (budget, whether the states outgrew it) for each _merge_states call.
+    # (budget, whether the states outgrew their limit) for each _merge_states
+    # call; a call that raises the budget error records False.
     calls = []
     original = matchings._merge_states
 
-    def counting(near, dead, budget, keep):
-        levels = original(near, dead, budget, keep)
-        calls.append((budget, levels is None))
-        return levels
+    def counting(g, budget, keep):
+        try:
+            scan = original(g, budget, keep)
+        except BudgetExceededError:
+            calls.append((budget, False))
+            raise
+        calls.append((budget, scan is None))
+        return scan
 
     monkeypatch.setattr(matchings, "_merge_states", counting)
     return calls
@@ -297,6 +302,27 @@ class TestStateListing:
         with pytest.raises(BudgetExceededError, match=f"^{message}$"):
             maximal_matching_masks(g, budget=104)
         assert passes == [(105, True), (104, True)]
+
+    def test_kept_states_past_half_the_budget_fall_back(self, passes):
+        # K8's 226 states fit a budget of 226 but not its half, so the
+        # listing takes the search, where the count would keep its pass.
+        g = complete(8)
+        assert maximal_matching_masks(g, budget=226) == vertex_branch_maximal_masks(g)
+        assert summarize_matchings(g, budget=226).psi == 105
+        assert passes == [(226, True), (226, False)]
+
+    def test_search_fallback_stays_small(self):
+        # K30 has more than 20,000 states and maximal matchings. Keeping up
+        # to 20,000 states before the search peaked at 4.5 MB; the search
+        # itself stops at the 20,001st row.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^more than 20000 maximal"):
+                maximal_matching_masks(complete(30), budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_count_over_the_budget_lists_nothing(self, passes):
         # P5oK3 has Psi = 1,944 from far fewer states, and P20oK3 has
@@ -512,6 +538,6 @@ def test_neighbourhood_masks_in_any_order(g, rng):
     order = list(range(g.m))
     rng.shuffle(order)
     edges = [g.edges[e] for e in order]
-    near = matchings._neighbourhood_masks(edges)
+    near = matchings._scan_setup(edges)[0]
     for k, (u, v) in enumerate(edges):
         assert near[k] == sum(1 << j for j, edge in enumerate(edges) if {u, v} & set(edge))
