@@ -36,7 +36,7 @@ from .graph import (
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

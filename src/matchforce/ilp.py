@@ -12,8 +12,8 @@ import math
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import islice
+from functools import cached_property
+from itertools import combinations, islice
 
 from .graph import Graph, read_ascii_int
 from .matchings import DEFAULT_BUDGET, mask_renderer, mask_to_edges, maximal_matching_masks
@@ -71,29 +71,30 @@ class IlpModel:
     """The covering model, kept as the maximal matchings it comes from.
 
     ``rows`` are the maximal matchings as edge bitmasks, in canonical order.
-    With deduplication, ``counts`` maps each distinct support (the edges on
-    which two rows differ) to the number of row pairs behind it, in
-    first-seen order, and ``labels`` holds the first such pair of each.
-    Without it, ``counts`` and ``labels`` are None and every row pair is its
-    own constraint. ``constraints`` lists the model as :class:`IlpConstraint`
-    objects, built on first read; :func:`export_lp` does not read it. Two
-    models are equal when their fields are, so a model built with
-    deduplication never equals one built without.
+    ``counts`` maps each distinct support (the edges on which two rows
+    differ) to the number of row pairs behind it, in first-seen order, in
+    both forms. With deduplication, ``labels`` holds the first row pair of
+    each support and each support is one constraint; without it, ``labels``
+    is None and every row pair is its own constraint. ``constraints`` lists
+    the model as :class:`IlpConstraint` objects, built on first read;
+    :func:`export_lp` does not read it. Two models are equal when their
+    fields are, so a model built with deduplication never equals one built
+    without.
     """
 
     num_edges: int
     rows: list[int]
-    counts: Counter[int] | None = None
+    counts: Counter[int]
     labels: list[tuple[int, int]] | None = None
 
     @cached_property
     def constraints(self) -> tuple[IlpConstraint, ...]:
         rows = self.rows
-        if self.counts is None:
+        if self.labels is None:
             # Pairs with one support share one columns tuple.
-            columns = cache(mask_to_edges)
+            columns = {key: mask_to_edges(key) for key in self.counts}
             return tuple(
-                IlpConstraint((i, j), columns(row ^ rows[j]), ((i, j),))
+                IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
                 for i, row in enumerate(rows)
                 for j in range(i + 1, len(rows))
             )
@@ -105,10 +106,7 @@ class IlpModel:
 
     def satisfied_by(self, edge_mask: int) -> bool:
         """Feasibility of a 0/1 assignment given as an edge bitmask."""
-        if self.counts is not None:
-            return all(edge_mask & key for key in self.counts)
-        rows = self.rows
-        return all(edge_mask & (row ^ other) for i, row in enumerate(rows) for other in rows[i + 1 :])
+        return all(edge_mask & key for key in self.counts)
 
 
 def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> IlpModel:
@@ -116,24 +114,25 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
 
     Two distinct rows always differ somewhere, so every constraint has at
     least one term; the strict "greater than zero" reads as ">= 1" over
-    binary variables. With ``dedup`` on, row pairs inducing the same column
-    support share one constraint labeled by the lexicographically first pair.
+    binary variables. Both forms hold the distinct column supports, found
+    in one pass. With ``dedup`` on, row pairs inducing the same support share
+    one constraint labeled by the lexicographically first pair; with it off,
+    each row pair is its own constraint.
     """
     rows = maximal_matching_masks(g, budget)
-    if not dedup:
-        return IlpModel(g.m, rows)
     index = {row: i for i, row in enumerate(rows)}
     # Support -> number of row pairs behind it, in first-seen order. Each row
     # is counted against every later row in one C-level update; the supports
     # it adds for the first time are the newest keys, and since rows are
     # distinct each names the one later row j it came from.
     counts: Counter[int] = Counter()
-    labels: list[tuple[int, int]] = []
+    labels: list[tuple[int, int]] | None = [] if dedup else None
     for i, row in enumerate(rows):
         before = len(counts)
         counts.update(map(row.__xor__, rows[i + 1 :]))
-        fresh = list(islice(reversed(counts), len(counts) - before))
-        labels.extend((i, index[row ^ key]) for key in reversed(fresh))
+        if labels is not None:
+            fresh = list(islice(reversed(counts), len(counts) - before))
+            labels.extend((i, index[row ^ key]) for key in reversed(fresh))
     return IlpModel(g.m, rows, counts, labels)
 
 
@@ -143,20 +142,18 @@ def export_lp(model: IlpModel) -> str:
     names = [f"x{k}" for k in range(1, model.num_edges + 1)]
     lines = ["Minimize", f" obj: {' + '.join(names)}" if names else " obj:", "Subject To"]
     render = mask_renderer(names, " + ")
-    if model.counts is not None:
+    if model.labels is not None:
         lines.extend(
             f" c{i + 1}_{j + 1}: {body} >= 1"
             for (i, j), body in zip(model.labels, render(model.counts))
         )
     else:
-        rows = model.rows
         # Each distinct support is rendered once, in one batch.
-        bodies = dict.fromkeys(row ^ other for i, row in enumerate(rows) for other in rows[i + 1 :])
-        bodies = dict(zip(bodies, render(bodies)))
-        for i, row in enumerate(rows):
-            lines.extend(
-                f" c{i + 1}_{j + 1}: {bodies[row ^ rows[j]]} >= 1" for j in range(i + 1, len(rows))
-            )
+        bodies = dict(zip(model.counts, render(model.counts)))
+        lines.extend(
+            f" c{i + 1}_{j + 1}: {bodies[a ^ b]} >= 1"
+            for (i, a), (j, b) in combinations(enumerate(model.rows), 2)
+        )
         # The lines hold every body by now; free the table before the join.
         del bodies
     lines.append("Binary")

@@ -383,6 +383,44 @@ def test_non_utf8_input_is_a_domain_error(capsys, tmp_path, k3_file, flag):
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 4)\n"
 
 
+BOM_ARGV = {
+    "--in": ["psi", "--in", "{}"],
+    "--g": ["bounds", "--g", "{}", "--h", "{K3}"],
+    "--solution": ["import-solution", "--in", "{K3}", "--solution", "{}"],
+}
+
+
+def bom_run(capsys, tmp_path, k3_file, flag, text):
+    source = tmp_path / "input.txt"
+    source.write_text(text, encoding="utf-8")
+    paths = {"{}": str(source), "{K3}": k3_file}
+    return run(capsys, *(paths.get(arg, arg) for arg in BOM_ARGV[flag]))
+
+
+@pytest.mark.parametrize("flag", list(BOM_ARGV))
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, k3_file, flag):
+    text = "x1 1\nx2 1\n" if flag == "--solution" else "n 3\n0 1\n1 2\n"
+    plain = bom_run(capsys, tmp_path, k3_file, flag, text)
+    assert plain[0] == 0
+    assert bom_run(capsys, tmp_path, k3_file, flag, "\ufeff" + text) == plain
+
+
+@pytest.mark.parametrize(
+    "flag,text,message",
+    [
+        ("--in", "0 1\n\ufeff1 2\n", "line 2: non-integer vertex in '\\ufeff1 2'"),
+        ("--in", "\ufeff\ufeffn 3\n0 1\n", "line 1: non-integer vertex in '\\ufeffn 3'"),
+        ("--in", " \ufeff0 1\n", "line 1: non-integer vertex in '\\ufeff0 1'"),
+        ("--solution", "x1 1\n\ufeffx2 1\n", "line 2: unknown variable '\\ufeffx2'"),
+    ],
+    ids=["second-line", "doubled", "after-space", "solution-second-line"],
+)
+def test_byte_order_mark_past_the_start_is_a_domain_error(
+    capsys, tmp_path, k3_file, flag, text, message
+):
+    assert bom_run(capsys, tmp_path, k3_file, flag, text) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("case", ["header", "variable", "family", "bipartite-part"])
 def test_superscript_digits_are_a_domain_error(capsys, tmp_path, k3_file, case):
     # "²" passes str.isdigit() but int() rejects it.

@@ -116,6 +116,17 @@ def test_model_matches_pairwise_grouping(name, graph, dedup):
     assert build_model(graph, dedup=dedup) == model
 
 
+@pytest.mark.parametrize("name,graph", ORACLE_GRAPHS, ids=[n for n, _ in ORACLE_GRAPHS])
+def test_both_forms_share_one_support_table(name, graph):
+    rows = maximal_matching_masks(graph)
+    full = build_model(graph, dedup=False)
+    assert full.counts == build_model(graph).counts
+    groups = brute_ilp_constraints(rows, True)
+    assert list(full.counts) == [rows[i] ^ rows[j] for (i, j), _, _ in groups]
+    assert list(full.counts.values()) == [len(pairs) for _, _, pairs in groups]
+    assert full.labels is None
+
+
 # K1 has no edge; P3oP3 has 17, so its last byte holds one variable; the 70
 # disjoint edges are in every maximal matching, so all supports of the last
 # graph sit on the triangle's edges x71..x73, past the first eight bytes.
