@@ -13,10 +13,17 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import filterfalse, repeat
+from operator import itemgetter, xor
 
 from .graph import Graph, read_ascii_int
-from .matchings import DEFAULT_BUDGET, mask_renderer, mask_to_edges, maximal_matching_masks
+from .matchings import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    mask_renderer,
+    mask_to_edges,
+    maximal_matching_masks,
+)
 
 
 class SolutionFormatError(ValueError):
@@ -71,28 +78,37 @@ class IlpModel:
     """The covering model, kept as the maximal matchings it comes from.
 
     ``rows`` are the maximal matchings as edge bitmasks, in canonical order.
-    ``counts`` maps each distinct support (the edges on which two rows
-    differ) to the number of row pairs behind it, in first-seen order, in
-    both forms. With deduplication, ``labels`` holds the first row pair of
-    each support and each support is one constraint; without it, ``labels``
-    is None and every row pair is its own constraint. ``constraints`` lists
-    the model as :class:`IlpConstraint` objects, built on first read;
-    :func:`export_lp` does not read it. Two models are equal when their
-    fields are, so a model built with deduplication never equals one built
-    without.
+    ``supports`` lists each distinct support (the edges on which two rows
+    differ) once, in first-seen order, in both forms. With deduplication,
+    ``labels`` holds the first row pair of each support and each support is
+    one constraint; without it, ``labels`` is None and every row pair is its
+    own constraint. ``counts`` (each support with the number of row pairs
+    behind it) and ``constraints`` (the model as :class:`IlpConstraint`
+    objects) are built on first read; :func:`export_lp` reads neither. Two
+    models are equal when their fields are, so a model built with
+    deduplication never equals one built without.
     """
 
     num_edges: int
     rows: list[int]
-    counts: Counter[int]
+    supports: list[int]
     labels: list[tuple[int, int]] | None = None
+
+    @cached_property
+    def counts(self) -> Counter[int]:
+        # Counted pair by pair, so the keys come in first-seen order too.
+        counts: Counter[int] = Counter()
+        rows = self.rows
+        for i, row in enumerate(rows):
+            counts.update(map(xor, repeat(row), rows[i + 1 :]))
+        return counts
 
     @cached_property
     def constraints(self) -> tuple[IlpConstraint, ...]:
         rows = self.rows
         if self.labels is None:
             # Pairs with one support share one columns tuple.
-            columns = {key: mask_to_edges(key) for key in self.counts}
+            columns = {key: mask_to_edges(key) for key in self.supports}
             return tuple(
                 IlpConstraint((i, j), columns[row ^ rows[j]], ((i, j),))
                 for i, row in enumerate(rows)
@@ -106,7 +122,11 @@ class IlpModel:
 
     def satisfied_by(self, edge_mask: int) -> bool:
         """Feasibility of a 0/1 assignment given as an edge bitmask."""
-        return all(edge_mask & key for key in self.counts)
+        return all(edge_mask & key for key in self.supports)
+
+
+def _too_many_constraints(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"more than {budget} constraints; raise the budget to export")
 
 
 def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> IlpModel:
@@ -117,23 +137,30 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     binary variables. Both forms hold the distinct column supports, found
     in one pass. With ``dedup`` on, row pairs inducing the same support share
     one constraint labeled by the lexicographically first pair; with it off,
-    each row pair is its own constraint.
+    each row pair is its own constraint. ``budget`` also caps the
+    constraints: more than that many row pairs without ``dedup``, or
+    distinct supports with it, raise :class:`BudgetExceededError`.
     """
     rows = maximal_matching_masks(g, budget)
+    if not dedup and len(rows) * (len(rows) - 1) // 2 > budget:
+        raise _too_many_constraints(budget)
     index = {row: i for i, row in enumerate(rows)}
-    # Support -> number of row pairs behind it, in first-seen order. Each row
-    # is counted against every later row in one C-level update; the supports
-    # it adds for the first time are the newest keys, and since rows are
-    # distinct each names the one later row j it came from.
-    counts: Counter[int] = Counter()
+    # Each row is probed against every later row; most supports were seen
+    # before, so a pair costs one set lookup. Since rows are distinct, the
+    # supports row i adds are distinct, and each names the one later row j
+    # it came from.
+    seen: set[int] = set()
+    supports: list[int] = []
     labels: list[tuple[int, int]] | None = [] if dedup else None
     for i, row in enumerate(rows):
-        before = len(counts)
-        counts.update(map(row.__xor__, rows[i + 1 :]))
+        fresh = list(filterfalse(seen.__contains__, map(xor, repeat(row), rows[i + 1 :])))
+        seen.update(fresh)
+        supports += fresh
+        if len(supports) > budget:
+            raise _too_many_constraints(budget)
         if labels is not None:
-            fresh = list(islice(reversed(counts), len(counts) - before))
-            labels.extend((i, index[row ^ key]) for key in reversed(fresh))
-    return IlpModel(g.m, rows, counts, labels)
+            labels += zip(repeat(i), map(index.__getitem__, map(xor, repeat(row), fresh)))
+    return IlpModel(g.m, rows, supports, labels)
 
 
 def export_lp(model: IlpModel) -> str:
@@ -142,18 +169,30 @@ def export_lp(model: IlpModel) -> str:
     names = [f"x{k}" for k in range(1, model.num_edges + 1)]
     lines = ["Minimize", f" obj: {' + '.join(names)}" if names else " obj:", "Subject To"]
     render = mask_renderer(names, " + ")
+    rows, supports = model.rows, model.supports
+    nums = list(map(str, range(1, len(rows) + 1)))
     if model.labels is not None:
-        lines.extend(
-            f" c{i + 1}_{j + 1}: {body} >= 1"
-            for (i, j), body in zip(model.labels, render(model.counts))
+        labels = model.labels
+        lines += map(
+            "".join,
+            zip(
+                repeat(" c"),
+                map(nums.__getitem__, map(itemgetter(0), labels)),
+                repeat("_"),
+                map(nums.__getitem__, map(itemgetter(1), labels)),
+                repeat(": "),
+                render(supports),
+                repeat(" >= 1"),
+            ),
         )
     else:
-        # Each distinct support is rendered once, in one batch.
-        bodies = dict(zip(model.counts, render(model.counts)))
-        lines.extend(
-            f" c{i + 1}_{j + 1}: {bodies[a ^ b]} >= 1"
-            for (i, a), (j, b) in combinations(enumerate(model.rows), 2)
-        )
+        # Each distinct support is rendered once, in one batch; row i's
+        # constraints are joined into one string.
+        bodies = dict(zip(supports, map(": ".__add__, render(supports))))
+        for i, row in enumerate(rows[:-1]):
+            pre = f" c{nums[i]}_"
+            later = map(bodies.__getitem__, map(xor, repeat(row), rows[i + 1 :]))
+            lines.append(pre + (" >= 1\n" + pre).join(map(str.__add__, nums[i + 1 :], later)) + " >= 1")
         # The lines hold every body by now; free the table before the join.
         del bodies
     lines.append("Binary")

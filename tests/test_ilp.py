@@ -18,6 +18,7 @@ from matchforce.ilp import (
 from matchforce.matchings import mask_renderer, maximal_matching_masks
 
 from oracles import brute_ilp_constraints, reference_lp, small_instances
+from test_matchings import small_graphs
 
 K3_LP = """Minimize
  obj: x1 + x2 + x3
@@ -127,6 +128,19 @@ def test_both_forms_share_one_support_table(name, graph):
     assert full.labels is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.booleans())
+def test_pass_keeps_the_pairwise_first_seen_order(g, dedup):
+    rows = maximal_matching_masks(g)
+    model = build_model(g, dedup=dedup)
+    groups = brute_ilp_constraints(rows, True)
+    assert model.supports == [rows[i] ^ rows[j] for (i, j), _, _ in groups]
+    assert model.labels == ([label for label, _, _ in groups] if dedup else None)
+    assert list(model.counts.values()) == [len(pairs) for _, _, pairs in groups]
+    assert list(model.counts) == model.supports
+    assert export_lp(model) == reference_lp(g.m, rows, dedup)
+
+
 # K1 has no edge; P3oP3 has 17, so its last byte holds one variable; the 70
 # disjoint edges are in every maximal matching, so all supports of the last
 # graph sit on the triangle's edges x71..x73, past the first eight bytes.
@@ -170,8 +184,12 @@ def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_
     def forbidden(model):
         raise AssertionError("export-lp read IlpModel.constraints")
 
+    def uncounted(model):
+        raise AssertionError("export-lp read IlpModel.counts")
+
     monkeypatch.setattr(ilp, "IlpConstraint", Forbidden)
     monkeypatch.setattr(ilp.IlpModel, "constraints", property(forbidden))
+    monkeypatch.setattr(ilp.IlpModel, "counts", property(uncounted))
     source = tmp_path / "C4oK2.txt"
     source.write_text(serialize_edge_list(corona_product(cycle(4), complete(2)).graph))
     assert cli.main(["export-lp", *extra, "--in", str(source)]) == 0
@@ -198,7 +216,19 @@ def test_no_dedup_export_renders_each_support_once(monkeypatch):
     text = export_lp(build_model(g, dedup=False))
     psi = len(maximal_matching_masks(g))
     assert text.count(">= 1") == psi * (psi - 1) // 2
-    assert rendered == len(build_model(g).counts)
+    assert rendered == len(build_model(g).supports)
+
+
+# C4oK2 has 90 maximal matchings: 4,005 row pairs behind 1,064 distinct supports.
+@pytest.mark.parametrize("extra,constraints", [((), 1064), (("--no-dedup",), 4005)], ids=["dedup", "nodedup"])
+def test_budget_bounds_the_constraints_written(extra, constraints, capsys, tmp_path):
+    source = tmp_path / "C4oK2.txt"
+    source.write_text(serialize_edge_list(corona_product(cycle(4), complete(2)).graph))
+    over = constraints - 1
+    assert cli.main(["export-lp", *extra, "--in", str(source), "--budget", str(over)]) == 1
+    assert capsys.readouterr() == ("", f"error: more than {over} constraints; raise the budget to export\n")
+    assert cli.main(["export-lp", *extra, "--in", str(source), "--budget", str(constraints)]) == 0
+    assert capsys.readouterr().out.count(">= 1") == constraints
 
 
 class TestExport:
