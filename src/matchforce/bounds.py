@@ -166,21 +166,27 @@ _RENAMED = {"g_name": "g", "h_name": "h"}
 _PER_CHECK = ("verdicts", "gaps")
 
 
-def _exact(graph: Graph, budget: int) -> tuple[MatchingSummary, int | None]:
+def _exact(graph: Graph, budget: int, graded: dict) -> tuple[MatchingSummary, int | None]:
     """Enumerate ``graph`` once for its summary and the φ that the default
     exact search proves, which is None past the default node limit, or past
-    ``DEFAULT_MAX_EDGES``, where the summary is counted and nothing listed."""
-    if graph.m > DEFAULT_MAX_EDGES:
-        return summarize_matchings(graph, budget), None
-    rows = maximal_matching_masks(graph, budget)
-    summary = _summarize_masks(rows, graph.n)
-    answer = _min_forcing_set(rows, DEFAULT_NODE_LIMIT)[0]
-    return summary, None if answer is None else answer.bit_count()
+    ``DEFAULT_MAX_EDGES``, where the summary is counted and nothing listed.
+    ``graded`` holds the answers found so far, by vertex count and edge
+    list; a graph found there is not enumerated again."""
+    key = graph.n, graph.edges
+    if key not in graded:
+        if graph.m > DEFAULT_MAX_EDGES:
+            graded[key] = summarize_matchings(graph, budget), None
+        else:
+            rows = maximal_matching_masks(graph, budget)
+            summary = _summarize_masks(rows, graph.n)
+            answer = _min_forcing_set(rows, DEFAULT_NODE_LIMIT)[0]
+            graded[key] = summary, None if answer is None else answer.bit_count()
+    return graded[key]
 
 
-def _exact_factor(graph: Graph, name: str, budget: int) -> tuple[MatchingSummary, int]:
+def _exact_factor(graph: Graph, name: str, budget: int, graded: dict) -> tuple[MatchingSummary, int]:
     """:func:`_exact` for a factor, whose φ every bound needs proven."""
-    summary, phi = _exact(graph, budget)
+    summary, phi = _exact(graph, budget, graded)
     if phi is None:
         raise BudgetExceededError(
             f"factor {name}: phi is unproven; exact search is capped at "
@@ -208,15 +214,20 @@ def verify_bounds(
     g_name: str = "G",
     h_name: str = "H",
     budget: int = DEFAULT_BUDGET,
+    *,
+    _graded: dict | None = None,
 ) -> BoundsReport:
     """Build the corona, compute everything exactly, and grade every bound.
 
     Each factor must fit the budget and have its φ proven. Where the corona
     does not fit, its exact fields are left unset and only internal
-    consistency of the bounds is judged.
+    consistency of the bounds is judged. Each distinct graph is graded
+    once, also when the corona equals a factor; :func:`sweep_reports`
+    passes ``_graded`` to share the answers across its pairs.
     """
-    sum_g, phi_g = _exact_factor(g, g_name, budget)
-    sum_h, phi_h = _exact_factor(h, h_name, budget)
+    graded = {} if _graded is None else _graded
+    sum_g, phi_g = _exact_factor(g, g_name, budget, graded)
+    sum_h, phi_h = _exact_factor(h, h_name, budget, graded)
     randomly_h = 2 * sum_h.sat == h.n
 
     cg = corona_product(g, h)
@@ -230,7 +241,7 @@ def verify_bounds(
     )
 
     try:
-        corona_summary, exact_phi = _exact(cg.graph, budget)
+        corona_summary, exact_phi = _exact(cg.graph, budget, graded)
         exact_nu, exact_psi = corona_summary.nu, corona_summary.psi
     except BudgetExceededError:
         exact_nu = exact_psi = exact_phi = None
@@ -278,12 +289,17 @@ def sweep_reports(
     max_corona_order: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[BoundsReport]:
-    """Verify every ordered factor pair whose corona order fits the cap."""
+    """Verify every ordered factor pair whose corona order fits the cap.
+
+    Each distinct edge list, factor or corona, is enumerated and graded once
+    per call, and every pair it is in shares that answer.
+    """
+    graded: dict = {}
     reports = []
     for g_name, g in factors:
         for h_name, h in factors:
             order = g.n * (1 + h.n)
             if max_corona_order is not None and order > max_corona_order:
                 continue
-            reports.append(verify_bounds(g, h, g_name, h_name, budget=budget))
+            reports.append(verify_bounds(g, h, g_name, h_name, budget=budget, _graded=graded))
     return reports

@@ -10,7 +10,6 @@ adds a row only once an answer misses it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import or_
@@ -190,7 +189,7 @@ def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int,
     supports = _swap_pairs(rows)
     indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
-    packing = sum(_packing((1 << len(cuts)) - 1, 0, len(cuts), cuts) for *_, cuts in indexes)
+    packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
     nodes = 0
     while True:
         answer = 0
@@ -226,29 +225,36 @@ def _components(supports: set[int]) -> list[list[int]]:
     return [[s for s in supports if s & span] for span in spans]
 
 
-def _index(supports: list[int]) -> tuple[list[int], list[int], list]:
+def _index(supports: list[int]) -> tuple[list[int], list[int], list[list[int]]]:
     """Number one component's supports in order. As masks over their indices:
     ``cols[e]`` holds those with edge e and ``gone[j]`` those with no edge
-    from j on. The cuts give, per support, its sorted edges and, for each k,
-    the supports meeting its edges from the k-th on: Σ|s| masks of
-    len(supports) bits."""
+    from j on. ``keeps[j][i]`` is ~ the supports meeting support i's edges
+    from j on, for j up to its last edge: the unhit ones a packing keeps
+    once it packs support i at position j. The tables are copies of one
+    running list, so they share its Σ|s| masks of len(supports) bits."""
     cols = _column_masks(supports, max(s.bit_length() for s in supports))
     suf = list(accumulate(reversed(cols), or_, initial=0))
     gone = [suf[-1] ^ rest for rest in reversed(suf)]
-    edges = [mask_to_edges(s) for s in supports]
-    cuts = [(es, list(accumulate((cols[e] for e in reversed(es)), or_))[::-1]) for es in edges]
-    return cols, gone, cuts
+    keep = [-1] * len(supports)
+    keeps = []
+    for col in reversed(cols):
+        drop = ~col
+        for i in mask_to_edges(col):
+            keep[i] &= drop
+        keeps.append(keep.copy())
+    keeps.reverse()
+    return cols, gone, keeps
 
 
-def _packing(unhit: int, j: int, cap: int, cuts: list) -> int:
-    """Greedily pack the ``unhit`` supports, each with an edge from j on and
-    cut to those edges, into disjoint sets in index order, and stop at
-    ``cap``; each packed one needs a chosen edge of its own. The lowest
-    unhit support is packed, and every one its cut meets is passed over."""
+def _packing(unhit: int, cap: int, keep: list[int]) -> int:
+    """Greedily pack the ``unhit`` supports, each with an edge from some
+    position j on and cut to those edges, into disjoint sets in index order,
+    and stop at ``cap``; each packed one needs a chosen edge of its own.
+    ``keep`` is :func:`_index`'s table for j: the lowest unhit support is
+    packed, and every one its cut meets is passed over."""
     count = 0
     while unhit and count < cap:
-        edges, meets = cuts[(unhit & -unhit).bit_length() - 1]
-        unhit &= ~meets[bisect_left(edges, j)]
+        unhit &= keep[(unhit & -unhit).bit_length() - 1]
         count += 1
     return count
 
@@ -257,20 +263,30 @@ def _min_hitting_set(index: tuple, node_limit: int) -> tuple[int | None, int]:
     """The lexicographically smallest minimum hitting set of the supports
     that :func:`_index` made ``index`` of, as an edge mask, and the nodes
     spent on it; None when ``node_limit`` nodes run out. A branch dies once
-    its size plus the packing reaches ``limit``, at first one more than a
-    set of one edge per support, then the size of each set found, so
-    include-first order finds that optimum first."""
-    cols, gone, cuts = index
+    its size plus the packing, run inline on ``keeps[j]``, reaches ``limit``,
+    at first one more than a set of one edge per support, then the size of
+    each set found, so include-first order finds that optimum first."""
+    cols, gone, keeps = index
     best = None
     nodes = 0
-    limit = len(cuts) + 1
+    limit = len(keeps[0]) + 1
     # Frames: next edge, chosen edges, unhit supports as a mask over their
     # indices. Bounds are tested on pop: ``limit`` can tighten as one waits.
-    stack = [(0, 0, (1 << len(cuts)) - 1)]
+    stack = [(0, 0, (1 << len(keeps[0])) - 1)]
     while stack:
         j, chosen, unhit = stack.pop()
+        if unhit & gone[j]:
+            continue
         size = chosen.bit_count()
-        if unhit & gone[j] or size + _packing(unhit, j, limit - size, cuts) >= limit:
+        room = limit - size
+        if unhit:
+            # j is past the last edge only once nothing is unhit.
+            keep = keeps[j]
+            rest = unhit
+            while rest and room > 0:
+                rest &= keep[(rest & -rest).bit_length() - 1]
+                room -= 1
+        if room <= 0:
             continue
         if not unhit:
             best, limit = chosen, size

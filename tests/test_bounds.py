@@ -30,6 +30,7 @@ from matchforce.graph import (
 from matchforce.matchings import BudgetExceededError, maximal_matching_masks, summarize_matchings
 
 from oracles import brute_min_forcing, projections_distinct
+from test_cli import enumerated  # noqa: F401  (a fixture)
 
 
 class TestClosedForms:
@@ -231,9 +232,12 @@ def test_sweep_covers_all_pairs_and_passes():
     }
 
 
+# The bounds-sweep benchmark grid, swept up to corona order 12.
+BENCH_GRID = ("K1", "K2", "K3", "P3", "P4", "C4", "K2,2")
+
+
 def test_every_graded_check_has_a_column():
-    names = ("K1", "K2", "K3", "P3", "P4", "C4", "K2,2")  # the bounds-sweep benchmark grid
-    factors = [(name, generate(parse_family_name(name))) for name in names]
+    factors = [(name, generate(parse_family_name(name))) for name in BENCH_GRID]
     reports = sweep_reports(factors, max_corona_order=12)
     checks = set(GRADED_CHECKS)
     for report in reports:
@@ -241,6 +245,34 @@ def test_every_graded_check_has_a_column():
         # lower_le_upper compares two bounds and has no gap or column.
         assert set(report.verdicts) - {"lower_le_upper"} <= checks
     assert set().union(*(report.gaps for report in reports)) == checks
+
+
+def test_sweep_grades_each_distinct_graph_once(enumerated):
+    factors = [(name, generate(parse_family_name(name))) for name in BENCH_GRID]
+    reports = sweep_reports(factors, max_corona_order=12)
+    # 7 factors and 28 coronas, K1oK1 being K2: one listing each, not 3 per pair.
+    assert len(enumerated) == len(set(enumerated)) == 34
+    separate = [
+        verify_bounds(g, h, g_name, h_name)
+        for g_name, g in factors
+        for h_name, h in factors
+        if g.n * (1 + h.n) <= 12
+    ]
+    assert len(separate) == 28
+    assert reports == separate
+
+
+def test_a_graph_shared_by_pairs_or_factors_is_enumerated_once(enumerated):
+    k2 = complete(2)
+    assert complete_bipartite(1, 1) == k2
+    reports = sweep_reports([("K2", k2), ("K1,1", complete_bipartite(1, 1))])
+    assert [(r.g_name, r.h_name) for r in reports] == [
+        ("K2", "K2"), ("K2", "K1,1"), ("K1,1", "K2"), ("K1,1", "K1,1")
+    ]
+    assert enumerated == [k2, corona_product(k2, k2).graph]
+    enumerated.clear()
+    verify_bounds(path(3), path(3))
+    assert enumerated == [path(3), corona_product(path(3), path(3)).graph]
 
 
 # Pairs on which ``upper_sum`` falls below the exact forcing number, the one

@@ -270,14 +270,33 @@ def test_mask_search_visits_the_list_search_nodes(supports, node_limit):
 @given(support_families)
 @settings(max_examples=200, deadline=None)
 def test_mask_packing_equals_the_list_packing(supports):
-    _, gone, cuts = _index(supports)
+    _, gone, keeps = _index(supports)
     everything = (1 << len(supports)) - 1
     for j in range(len(gone)):
         packed, _ = list_packing(supports, j)
         assert bool(everything & gone[j]) == (packed < 0)
         if packed >= 0:
-            assert _packing(everything, j, len(supports), cuts) == packed
-            assert _packing(everything, j, packed - 1, cuts) == max(packed - 1, 0)
+            # Every support has an edge from j on, so j < len(keeps).
+            assert _packing(everything, len(supports), keeps[j]) == packed
+            assert _packing(everything, packed - 1, keeps[j]) == max(packed - 1, 0)
+
+
+@given(support_families)
+@settings(max_examples=200, deadline=None)
+def test_keep_tables_share_one_mask_per_support_edge(supports):
+    cols, _, keeps = _index(supports)
+    assert len(keeps) == len(cols)
+    for i, s in enumerate(supports):
+        edges = mask_to_edges(s)
+        for j in range(edges[-1] + 1):
+            meets = 0
+            for e in edges:
+                if e >= j:
+                    meets |= cols[e]
+            assert keeps[j][i] == ~meets
+    # Copies of one running list: each support edge makes one new mask.
+    distinct = {id(keep) for table in keeps for keep in table}
+    assert len(distinct) <= sum(s.bit_count() for s in supports) + 1
 
 
 @given(st.sets(st.integers(1, (1 << 20) - 1), max_size=40))
