@@ -5,12 +5,15 @@ same intersection with it, i.e. when it meets the support r ⊕ r′ of every
 pair of maximal matchings r, r′. A minimum one is a minimum hitting set of
 the supports, the paper's ILP with one covering row per pair. It is solved
 as an implicit hitting set (Moreno-Centeno & Karp, Oper. Res. 2013), which
-adds a row only once an answer misses it.
+adds a row only once an answer misses it. Round 1 holds the swap pairs; the
+first answer that misses supports also adds, once, the cheap supports of
+short alternating paths and cycles, so fewer rounds re-solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Iterator
@@ -19,6 +22,7 @@ from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    _scan_setup,
     edges_to_mask,
     mask_to_edges,
     maximal_matching_masks,
@@ -87,11 +91,18 @@ def _column_masks(rows: list[int], m: int) -> list[int]:
     return cols
 
 
-def _swap_pairs(rows: list[int]) -> set[int]:
-    """The swap pairs {e, f} as edge masks: swapping e for f in some maximal
-    matching gives another one. The two matchings differ in e and f alone,
-    so every forcing set holds e or f. Each row goes in one bucket per edge,
-    keyed by the row without it; any two edges of one bucket are a pair."""
+def _exchanges(rows: list[int], joined: list[int]) -> set[int]:
+    """The supports r ⊕ r′ of two rows that are equal once r drops an edge
+    set T and r′ a set T′. A drop is one edge x, or x and a later edge y
+    of ``joined[x]``, so a support is an alternating path or cycle of at
+    most 4 edges. With every ``joined`` mask 0 these are the swap pairs
+    {e, f}: swapping e for f in some maximal matching gives another one, so
+    every forcing set holds e or f. Each row goes in one bucket per drop,
+    keyed by the row without it; any two drops of one bucket give a support.
+    A bucket holds its drops as bits, x at bit x and {x, y} at (x + 1)·m + y,
+    so buckets with the same drops are expanded once. Two-edge drops only of
+    joined edges keep the buckets near the swap pairs' own count."""
+    m = len(joined)
     dropped: dict[int, int] = {}
     for row in rows:
         rest = row
@@ -99,8 +110,29 @@ def _swap_pairs(rows: list[int]) -> set[int]:
             low = rest & -rest
             rest ^= low
             dropped[row ^ low] = dropped.get(row ^ low, 0) | low
-    buckets = [mask_to_edges(edges) for edges in dropped.values() if edges & edges - 1]
-    return {1 << e | 1 << f for edges in buckets for e, f in combinations(edges, 2)}
+            pairs = rest & joined[low.bit_length() - 1]
+            while pairs:
+                high = pairs & -pairs
+                pairs ^= high
+                key = row ^ low ^ high
+                drop = 1 << low.bit_length() * m + high.bit_length() - 1
+                dropped[key] = dropped.get(key, 0) | drop
+    supports: set[int] = set()
+    for drops in set(dropped.values()):
+        if drops & drops - 1:
+            # Bit i is edge i % m, plus edge i // m - 1 when i >= m.
+            sets = [1 << i % m | 1 << i // m >> 1 for i in mask_to_edges(drops)]
+            supports.update(a ^ b for a, b in combinations(sets, 2))
+    return supports
+
+
+def _joined_edges(g: Graph) -> list[int]:
+    """joined[x], as a mask over edge indices, holds each edge y that some
+    edge of ``g`` joins, end to end, to edge x: the edges sharing an end
+    with x or with an edge that does. It holds x and the edges sharing an
+    end with x too, which no matching holds beside x."""
+    near = _scan_setup(g.edges)[0]
+    return [reduce(or_, (near[z] for z in mask_to_edges(nb)), 0) for nb in near]
 
 
 def _greedy_columns(cols: list[int], t: int) -> list[int]:
@@ -158,9 +190,11 @@ def phi_exact(
     indices that is pruned by a greedy packing of disjoint unhit supports,
     held as one bitmask over the supports' indices.
     It then adds the support of every pair of matchings that the union of
-    the answers leaves indistinguishable. When there is none, the union
-    forces, and as each round solved a relaxation, it is the
-    lexicographically smallest minimum forcing set.
+    the answers leaves indistinguishable; the first time there is one, it
+    also adds every support of an alternating path or cycle of at most 4
+    edges that :func:`_exchanges` finds. When there is none, the union
+    forces, and as every support added is one and so each round solved a
+    relaxation, it is the lexicographically smallest minimum forcing set.
 
     ``lower_bound`` is the larger of ceil(log2 Ψ) and the root packing. If
     the node limit, counted over all rounds, is hit, the greedy set is
@@ -174,19 +208,24 @@ def phi_exact(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
     rows = maximal_matching_masks(g, budget)
-    answer, packing, nodes = _min_forcing_set(rows, node_limit)
+    answer, packing, nodes = _min_forcing_set(rows, _joined_edges(g), node_limit)
     greedy = _greedy_set(rows, g.m)
     edges = greedy if answer is None else mask_to_edges(answer)
     lower = max((len(rows) - 1).bit_length(), packing)
     return ForcingResult(edges, len(edges), answer is not None, lower, len(greedy), nodes)
 
 
-def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int, int]:
+def _min_forcing_set(
+    rows: list[int], joined: list[int], node_limit: int
+) -> tuple[int | None, int, int]:
     """For the maximal matchings ``rows``: their lexicographically smallest
     minimum forcing set as an edge mask, or None once ``node_limit`` nodes
     run out; the packing of disjoint swap pairs read from round 1's indexes;
-    the nodes over all rounds. Each round indexes each component once."""
-    supports = _swap_pairs(rows)
+    the nodes over all rounds. Round 1 knows the swap pairs alone. Each
+    answer that misses supports adds them; the first also adds every
+    support :func:`_exchanges` finds with the ``joined`` masks of
+    :func:`_joined_edges`. Each round indexes each component once."""
+    supports = _exchanges(rows, [0] * len(joined))
     indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
     packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
@@ -202,6 +241,9 @@ def _min_forcing_set(rows: list[int], node_limit: int) -> tuple[int | None, int,
         missed = set(_collisions(rows, answer))
         if not missed:
             return answer, packing, nodes
+        if joined:
+            supports |= _exchanges(rows, joined)
+            joined = []  # the seeding runs once
         supports |= missed
         indexes = [_index(part) for part in _components(supports)]
 

@@ -142,6 +142,28 @@ def brute_swap_pairs(rows: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def brute_exchange_supports(g: Graph, rows: list[int]) -> set[int]:
+    """Every r ⊕ r′ over all pairs of rows that become equal once r drops a
+    set T of its edges and r′ a set T′. A drop is one edge, or two edges
+    with an edge of ``g`` between an end of one and an end of the other."""
+    adj = {frozenset(e) for e in g.edges}
+
+    def drops(row: int) -> set[int]:
+        edges = [e for e in range(g.m) if row >> e & 1]
+        out = {1 << e for e in edges}
+        for e, f in combinations(edges, 2):
+            if any(frozenset((a, b)) in adj for a in g.edges[e] for b in g.edges[f]):
+                out.add(1 << e | 1 << f)
+        return out
+
+    rests = [{row ^ t for t in drops(row)} for row in rows]
+    return {
+        rows[a] ^ rows[b]
+        for a, b in combinations(range(len(rows)), 2)
+        if rests[a] & rests[b]
+    }
+
+
 def min_vertex_cover(rows: list[int]) -> int:
     """Vertex cover number τ of the swap graph: the edges are the edge pairs
     (e, f) in which two rows of :func:`brute_swap_pairs` differ, and a cover

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
@@ -13,10 +14,11 @@ from matchforce.cli import main
 from matchforce import forcing
 from matchforce.forcing import (
     _components,
+    _exchanges,
     _index,
+    _joined_edges,
     _min_hitting_set,
     _packing,
-    _swap_pairs,
     is_global_forcing_set,
     phi_exact,
     phi_greedy,
@@ -29,6 +31,7 @@ from matchforce.graph import (
     empty,
     path,
     serialize_edge_list,
+    star,
 )
 from matchforce.matchings import (
     BudgetExceededError,
@@ -38,6 +41,7 @@ from matchforce.matchings import (
 )
 
 from oracles import (
+    brute_exchange_supports,
     brute_maximal_masks,
     brute_min_forcing,
     brute_swap_pairs,
@@ -207,25 +211,25 @@ def test_exact_equals_exhaustive_search(name, graph):
     assert is_global_forcing_set(graph, result.edges)
 
 
-@pytest.mark.parametrize("node_limit,optimal", [(16564, False), (16565, True)])
+@pytest.mark.parametrize("node_limit,optimal", [(4459, False), (4460, True)])
 def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
     # On C4oP3 the greedy set (0, ..., 11) is already optimal, and the proof
-    # takes 16,565 hitting-set nodes over 8 rounds, so one node less of
+    # takes 4,460 hitting-set nodes over 2 rounds, so one node less of
     # budget leaves it unproven. Any change in the visiting order, in the
     # bound, in the supports each round adds or in where nodes are counted
     # moves that point.
     g = corona_product(cycle(4), path(3)).graph
     result = phi_exact(g, node_limit=node_limit)
     assert (result.edges, result.size, result.optimal) == (tuple(range(12)), 12, optimal)
-    assert result.nodes == 16565
+    assert result.nodes == 4460
     assert result.greedy_size == 12
 
 
 @pytest.mark.parametrize(
     "g,h,phi,nodes,digest",
     [
-        (complete(3), path(3), 9, 1188, "a10b14b4abb7ed66d80a87a610618dd2a86e037b9fc83a9e91b085c323798269"),
-        (path(3), path(3), 8, 296, "fc99064b4ba55d7480b0c00bdd8bf8c7141f25267de34b308e8ef76604fc34b7"),
+        (complete(3), path(3), 9, 517, "9bb5512303e9ce0b813bba62d879d637dfdcfe4441525945757dced51c89fd2c"),
+        (path(3), path(3), 8, 195, "923753b14815e34a747aa232bfbe7fef71b055adc2c5a1680884a9bebe00f7bf"),
     ],
     ids=["K3oP3", "P3oP3"],
 )
@@ -240,7 +244,7 @@ def test_phi_json_pins_node_count_and_bytes(g, h, phi, nodes, digest, tmp_path, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("g,rounds", [(cycle(4), 8), (complete(3), 6)], ids=["C4oP3", "K3oP3"])
+@pytest.mark.parametrize("g,rounds", [(cycle(4), 2), (complete(3), 2)], ids=["C4oP3", "K3oP3"])
 def test_each_round_indexes_each_component_once(g, rounds, monkeypatch):
     # The root packing reads round 1's indexes, so it adds no build.
     builds, parts = [], []
@@ -317,7 +321,7 @@ def test_components_order_supports_by_size_then_edge_tuple(family):
 def test_swap_graph_and_bound_equal_the_oracles(g):
     rows = maximal_matching_masks(g)
     expected = {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
-    assert _swap_pairs(rows) == expected
+    assert _exchanges(rows, [0] * g.m) == expected
     result = phi_exact(g)
     assert result.lower_bound <= result.size
     if g.m <= 8:
@@ -347,6 +351,55 @@ def test_phi_adds_over_a_disjoint_union(a, b):
     if union.m <= 10:
         rows = maximal_matching_masks(union)
         assert (result.size, result.edges) == brute_min_forcing(union, rows)
+
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=100, deadline=None)
+def test_exchange_supports_equal_the_oracle(g):
+    rows = maximal_matching_masks(g)
+    assert _exchanges(rows, _joined_edges(g)) == brute_exchange_supports(g, rows)
+
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_seeded_rounds_give_the_oracle_witness(g):
+    # Only a graph whose first answer misses supports runs the seeding.
+    seeded = []
+    exchanges = forcing._exchanges
+    forcing._exchanges = lambda rows, joined: seeded.append(any(joined)) or exchanges(rows, joined)
+    try:
+        result = phi_exact(g)
+    finally:
+        forcing._exchanges = exchanges
+    assume(any(seeded))
+    rows = maximal_matching_masks(g)
+    assert (result.size, result.edges, result.optimal) == (*brute_min_forcing(g, rows), True)
+
+
+@pytest.mark.parametrize(
+    "g,h,phi", [(complete(3), path(5), 18), (cycle(4), star(4), 20)], ids=["K3oP5", "C4oK1,3"]
+)
+def test_exchange_seeds_prove_within_the_node_budget(g, h, phi):
+    # With the swap pairs and each answer's missed supports alone, these
+    # took 795,955 and 774,721 nodes.
+    result = phi_exact(corona_product(g, h).graph, node_limit=300_000)
+    assert (result.size, result.optimal) == (phi, True)
+
+
+def test_exchange_seeds_stay_small():
+    # Three copies of C4oK1: 24 edges and Psi = 343. Two-edge drops of any
+    # two edges of a row, not only joined ones, take the peak past 1.5 MB.
+    copy = corona_product(cycle(4), complete(1)).graph
+    g = _disjoint_union(_disjoint_union(copy, copy), copy)
+    rows, joined = maximal_matching_masks(g), _joined_edges(g)
+    assert (g.m, len(rows)) == (24, 343)
+    tracemalloc.start()
+    try:
+        _exchanges(rows, joined)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 SWAP_COVER_G = [
@@ -441,7 +494,7 @@ class TestClosedForms:
     def test_even_complete(self, k, expected):
         assert phi_exact(complete(2 * k)).size == (2 * k - 2) ** 2 // 2 == expected
 
-    # K4,4 takes 218,413 hitting-set nodes, under a second.
+    # K4,4 takes 255,422 hitting-set nodes, about a second.
     @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (3, 4), (4, 9)])
     def test_balanced_bipartite(self, k, expected):
         assert phi_exact(complete_bipartite(k, k)).size == (k - 1) ** 2 == expected

@@ -478,8 +478,8 @@ class TestRandomlyMatchable:
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     # At most 12 edges keeps the 2^m subset oracle fast.
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
