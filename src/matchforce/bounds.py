@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .corona import corona_product
-from .forcing import DEFAULT_MAX_EDGES, DEFAULT_NODE_LIMIT, _joined_edges, _min_forcing_set
+from .forcing import DEFAULT_MAX_EDGES, DEFAULT_NODE_LIMIT, _min_forcing_set
 from .graph import Graph
 from .matchings import (
     BudgetExceededError,
@@ -179,7 +179,7 @@ def _exact(graph: Graph, budget: int, graded: dict) -> tuple[MatchingSummary, in
         else:
             rows = maximal_matching_masks(graph, budget)
             summary = _summarize_masks(rows, graph.n)
-            answer = _min_forcing_set(rows, _joined_edges(graph), DEFAULT_NODE_LIMIT)[0]
+            answer = _min_forcing_set(rows, graph, DEFAULT_NODE_LIMIT)[0]
             graded[key] = summary, None if answer is None else answer.bit_count()
     return graded[key]
 

@@ -81,7 +81,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _emit(f"{getattr(summary, args.stat)}\n", args.out)
         return 0
     masks = matchings.maximal_matching_masks(g, args.budget)
-    value = getattr(matchings._summarize_masks(masks, g.n), args.stat)
+    # Ψ is the listing's length; ν and sat need a pass over every row.
+    value = len(masks) if args.stat == "psi" else getattr(matchings._summarize_masks(masks, g.n), args.stat)
     # The bytes json.dumps gives for {stat: value, "matchings": rows}, each
     # row a list of edge indices; there is always at least one row.
     render = matchings.mask_renderer([str(e) for e in range(g.m)], ", ")

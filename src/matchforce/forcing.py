@@ -5,17 +5,19 @@ same intersection with it, i.e. when it meets the support r ⊕ r′ of every
 pair of maximal matchings r, r′. A minimum one is a minimum hitting set of
 the supports, the paper's ILP with one covering row per pair. It is solved
 as an implicit hitting set (Moreno-Centeno & Karp, Oper. Res. 2013), which
-adds a row only once an answer misses it. Round 1 holds the swap pairs; the
-first answer that misses supports also adds, once, the cheap supports of
-short alternating paths and cycles, so fewer rounds re-solve.
+adds a row only once an answer misses it. Round 1 holds the swap pairs,
+found by one membership scan of the rows per pair of edges that share an
+end; the first answer that misses supports also adds, once, the cheap
+supports of short alternating paths and cycles, so fewer rounds re-solve.
+Rows and supports are read column by column from their joined bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations
-from operator import or_
+from itertools import accumulate, combinations, compress, repeat
+from operator import or_, xor
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -80,24 +82,54 @@ def _collisions(rows: list[int], mask: int) -> Iterator[int]:
             yield earlier ^ row
 
 
+# _BITS[k] maps a byte to its bit k as 0 or 1, and _DIGITS[k] to b"0" or b"1".
+_BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
+_DIGITS = [bits.translate(b"01" + bytes(254)) for bits in _BITS]
+
+
+def _row_bytes(rows: Iterable[int], m: int) -> tuple[bytes, int]:
+    """The rows' joined little-endian bytes, and the bytes per row: edge e
+    of every row is bit e & 7 of byte column e >> 3."""
+    width = (m + 7) >> 3 or 1
+    return b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))), width
+
+
 def _column_masks(rows: list[int], m: int) -> list[int]:
-    cols = [0] * m
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return cols
+    """cols[e] holds bit i when rows[i] holds edge e, for Ψ >= 1 rows.
+    Byte column e >> 3 of the rows' bytes, last row first, reads as column
+    e's binary digits."""
+    blob, width = _row_bytes(reversed(rows), m)
+    return [int(blob[e >> 3 :: width].translate(_DIGITS[e & 7]), 2) for e in range(m)]
+
+
+def _swap_pairs(rows: list[int], near: list[int]) -> set[int]:
+    """The swap pairs {e, f}: swapping e for f in some maximal matching r
+    gives another one, so every forcing set holds e or f. f is blocked in
+    r, and as r − e + f is a matching, by e alone: e and f share an end,
+    so f is in ``near[e]`` from :func:`_scan_setup`. A pair e < f is kept
+    once some row r with e has r ⊕ {e, f} among the rows; the rows with e
+    are read from byte column e >> 3 of the rows' bytes."""
+    blob, width = _row_bytes(rows, len(near))
+    rowset = set(rows)
+    pairs: set[int] = set()
+    for e, nb in enumerate(near):
+        later = nb >> e + 1 << e + 1
+        if not later:
+            continue
+        with_e = list(compress(rows, blob[e >> 3 :: width].translate(_BITS[e & 7])))
+        for f in mask_to_edges(later):
+            pair = 1 << e | 1 << f
+            if not rowset.isdisjoint(map(xor, with_e, repeat(pair))):
+                pairs.add(pair)
+    return pairs
 
 
 def _exchanges(rows: list[int], joined: list[int]) -> set[int]:
     """The supports r ⊕ r′ of two rows that are equal once r drops an edge
-    set T and r′ a set T′. A drop is one edge x, or x and a later edge y
-    of ``joined[x]``, so a support is an alternating path or cycle of at
-    most 4 edges. With every ``joined`` mask 0 these are the swap pairs
-    {e, f}: swapping e for f in some maximal matching gives another one, so
-    every forcing set holds e or f. Each row goes in one bucket per drop,
+    set T and r′ a set T′, which seed the hitting set once. A drop is one
+    edge x, or x and a later edge y of ``joined[x]``, so a support is an
+    alternating path or cycle of at most 4 edges; the one-edge drops alone
+    give the :func:`_swap_pairs`. Each row goes in one bucket per drop,
     keyed by the row without it; any two drops of one bucket give a support.
     A bucket holds its drops as bits, x at bit x and {x, y} at (x + 1)·m + y,
     so buckets with the same drops are expanded once. Two-edge drops only of
@@ -208,28 +240,28 @@ def phi_exact(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
     rows = maximal_matching_masks(g, budget)
-    answer, packing, nodes = _min_forcing_set(rows, _joined_edges(g), node_limit)
+    answer, packing, nodes = _min_forcing_set(rows, g, node_limit)
     greedy = _greedy_set(rows, g.m)
     edges = greedy if answer is None else mask_to_edges(answer)
     lower = max((len(rows) - 1).bit_length(), packing)
     return ForcingResult(edges, len(edges), answer is not None, lower, len(greedy), nodes)
 
 
-def _min_forcing_set(
-    rows: list[int], joined: list[int], node_limit: int
-) -> tuple[int | None, int, int]:
-    """For the maximal matchings ``rows``: their lexicographically smallest
-    minimum forcing set as an edge mask, or None once ``node_limit`` nodes
-    run out; the packing of disjoint swap pairs read from round 1's indexes;
-    the nodes over all rounds. Round 1 knows the swap pairs alone. Each
-    answer that misses supports adds them; the first also adds every
-    support :func:`_exchanges` finds with the ``joined`` masks of
-    :func:`_joined_edges`. Each round indexes each component once."""
-    supports = _exchanges(rows, [0] * len(joined))
+def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | None, int, int]:
+    """For the maximal matchings ``rows`` of ``g``: their lexicographically
+    smallest minimum forcing set as an edge mask, or None once
+    ``node_limit`` nodes run out; the packing of disjoint swap pairs read
+    from round 1's indexes; the nodes over all rounds. Round 1 knows the
+    :func:`_swap_pairs` alone. Each answer that misses supports adds them;
+    the first also adds every support :func:`_exchanges` finds with the
+    masks of :func:`_joined_edges`, built only then. Each round indexes
+    each component once."""
+    supports = _swap_pairs(rows, _scan_setup(g.edges)[0])
     indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
     packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
     nodes = 0
+    seed = True
     while True:
         answer = 0
         for index in indexes:
@@ -241,9 +273,9 @@ def _min_forcing_set(
         missed = set(_collisions(rows, answer))
         if not missed:
             return answer, packing, nodes
-        if joined:
-            supports |= _exchanges(rows, joined)
-            joined = []  # the seeding runs once
+        if seed:
+            supports |= _exchanges(rows, _joined_edges(g))
+            seed = False
         supports |= missed
         indexes = [_index(part) for part in _components(supports)]
 

@@ -6,19 +6,21 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from matchforce.bounds import corona_phi_upper_complement
 from matchforce.corona import corona_product
 from matchforce.cli import main
 from matchforce import forcing
 from matchforce.forcing import (
+    _column_masks,
     _components,
     _exchanges,
     _index,
     _joined_edges,
     _min_hitting_set,
     _packing,
+    _swap_pairs,
     is_global_forcing_set,
     phi_exact,
     phi_greedy,
@@ -35,6 +37,7 @@ from matchforce.graph import (
 )
 from matchforce.matchings import (
     BudgetExceededError,
+    _scan_setup,
     mask_to_edges,
     maximal_matching_masks,
     summarize_matchings,
@@ -321,12 +324,55 @@ def test_components_order_supports_by_size_then_edge_tuple(family):
 def test_swap_graph_and_bound_equal_the_oracles(g):
     rows = maximal_matching_masks(g)
     expected = {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
-    assert _exchanges(rows, [0] * g.m) == expected
+    assert _swap_pairs(rows, _scan_setup(g.edges)[0]) == expected
     result = phi_exact(g)
     assert result.lower_bound <= result.size
     if g.m <= 8:
         size, witness = brute_min_forcing(g, rows)
         assert (result.edges, result.size, result.optimal) == (witness, size, True)
+
+
+def _swap_oracle(g):
+    rows = maximal_matching_masks(g)
+    return rows, {rows[a] ^ rows[b] for a, b in brute_swap_pairs(rows)}
+
+
+@given(small_graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_swap_pairs_equal_the_oracle_and_the_one_edge_buckets(g):
+    rows, expected = _swap_oracle(g)
+    assert _swap_pairs(rows, _scan_setup(g.edges)[0]) == expected
+    # The seeding's one-edge drops alone give the same pairs.
+    assert _exchanges(rows, [0] * g.m) == expected
+
+
+@pytest.mark.parametrize("g,h", [(cycle(5), complete(2)), (complete(2), complete(4))], ids=["C5oK2", "K2oK4"])
+def test_swap_pairs_read_every_byte_column(g, h):
+    # 20 and 21 edges: each row spans three bytes.
+    graph = corona_product(g, h).graph
+    rows, expected = _swap_oracle(graph)
+    assert _swap_pairs(rows, _scan_setup(graph.edges)[0]) == expected
+
+
+@st.composite
+def row_lists(draw):
+    m = draw(st.integers(0, 45))
+    return m, draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=40))
+
+
+@given(row_lists())
+@example((0, [0]))
+@example((1, [1]))
+@example((8, [255, 0, 128]))
+@example((16, [1 << 15 | 1, 1 << 8]))
+@example((24, [(1 << 24) - 1] * 3))
+@example((40, [1 << 39]))
+@example((45, [(1 << 45) - 1]))
+@settings(max_examples=200, deadline=None)
+def test_column_masks_transpose_the_rows(case):
+    m, rows = case
+    expected = [sum(1 << i for i, row in enumerate(rows) if row >> e & 1) for e in range(m)]
+    assert _column_masks(rows, m) == expected
 
 
 def _disjoint_union(a, b):
@@ -360,20 +406,44 @@ def test_exchange_supports_equal_the_oracle(g):
     assert _exchanges(rows, _joined_edges(g)) == brute_exchange_supports(g, rows)
 
 
-@given(small_graphs(max_n=8))
+@st.composite
+def seeding_candidates(draw):
+    """small_graphs(max_n=8) less those of under 4 vertices or 3 edges: on
+    none of 3,259 such random graphs did the seeding run, and drawing them
+    only to filter them out made Hypothesis fail its filter health check."""
+    n = draw(st.integers(4, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True, min_size=3, max_size=12))))
+
+
+@given(seeding_candidates())
 @settings(max_examples=60, deadline=None)
 def test_seeded_rounds_give_the_oracle_witness(g):
-    # Only a graph whose first answer misses supports runs the seeding.
+    # Only a graph whose first answer misses supports runs the seeding, the
+    # one call of _exchanges.
     seeded = []
     exchanges = forcing._exchanges
-    forcing._exchanges = lambda rows, joined: seeded.append(any(joined)) or exchanges(rows, joined)
+    forcing._exchanges = lambda rows, joined: seeded.append(joined) or exchanges(rows, joined)
     try:
         result = phi_exact(g)
     finally:
         forcing._exchanges = exchanges
-    assume(any(seeded))
+    assume(seeded)
     rows = maximal_matching_masks(g)
     assert (result.size, result.edges, result.optimal) == (*brute_min_forcing(g, rows), True)
+
+
+@pytest.mark.parametrize(
+    "g,h,calls", [(cycle(4), complete(2), 0), (complete(3), path(3), 1)], ids=["C4oK2", "K3oP3"]
+)
+def test_joined_masks_are_built_only_for_the_seeding(monkeypatch, g, h, calls):
+    # C4oK2's round 1 proves; K3oP3's first answer misses supports.
+    graph = corona_product(g, h).graph
+    made = []
+    joined_edges = forcing._joined_edges
+    monkeypatch.setattr(forcing, "_joined_edges", lambda x: made.append(x) or joined_edges(x))
+    assert phi_exact(graph).optimal
+    assert made == [graph] * calls
 
 
 @pytest.mark.parametrize(
@@ -400,6 +470,22 @@ def test_exchange_seeds_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 1_500_000
+
+
+def test_round_one_holds_no_table_per_row_and_edge():
+    # Ten disjoint triangles: 30 edges and Psi = 3^10. A dict keyed by each
+    # row less one of its edges took the peak to 25.6 MB.
+    g = Graph(30, tuple((u + 3 * k, v + 3 * k) for k in range(10) for u, v in complete(3).edges))
+    rows = maximal_matching_masks(g)
+    assert len(rows) == 3**10
+    tracemalloc.start()
+    try:
+        answer = forcing._min_forcing_set(rows, g, 1_000_000)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer.bit_count() == 20
+    assert peak < 12_000_000
 
 
 SWAP_COVER_G = [
