@@ -9,14 +9,17 @@ adds a row only once an answer misses it. Round 1 holds the swap pairs,
 found by one membership scan of the rows per pair of edges that share an
 end; the first answer that misses supports also adds, once, the cheap
 supports of short alternating paths and cycles, so fewer rounds re-solve.
-Rows and supports are read column by column from their joined bytes.
+The greedy set that ``phi`` reports splits classes of identical rows until
+few pairs are left, then picks edges by counting those pairs' supports.
+Rows and supports are read column by column from the bytes of
+:func:`matchings._row_bytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, groupby, repeat, starmap
 from operator import or_, xor
 from typing import Iterable, Iterator
 
@@ -24,6 +27,7 @@ from .graph import Graph
 from .matchings import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    _row_bytes,
     _scan_setup,
     edges_to_mask,
     mask_to_edges,
@@ -85,13 +89,6 @@ def _collisions(rows: list[int], mask: int) -> Iterator[int]:
 # _BITS[k] maps a byte to its bit k as 0 or 1, and _DIGITS[k] to b"0" or b"1".
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 _DIGITS = [bits.translate(b"01" + bytes(254)) for bits in _BITS]
-
-
-def _row_bytes(rows: Iterable[int], m: int) -> tuple[bytes, int]:
-    """The rows' joined little-endian bytes, and the bytes per row: edge e
-    of every row is bit e & 7 of byte column e >> 3."""
-    width = (m + 7) >> 3 or 1
-    return b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))), width
 
 
 def _column_masks(rows: list[int], m: int) -> list[int]:
@@ -158,26 +155,34 @@ def _exchanges(rows: list[int], joined: list[int]) -> set[int]:
     return supports
 
 
-def _joined_edges(g: Graph) -> list[int]:
+def _joined_edges(near: list[int]) -> list[int]:
     """joined[x], as a mask over edge indices, holds each edge y that some
-    edge of ``g`` joins, end to end, to edge x: the edges sharing an end
-    with x or with an edge that does. It holds x and the edges sharing an
-    end with x too, which no matching holds beside x."""
-    near = _scan_setup(g.edges)[0]
+    edge joins, end to end, to edge x: the edges sharing an end with x or
+    with an edge that does, from the ``near`` masks of :func:`_scan_setup`.
+    It holds x and the edges sharing an end with x too, which no matching
+    holds beside x."""
     return [reduce(or_, (near[z] for z in mask_to_edges(nb)), 0) for nb in near]
 
 
-def _greedy_columns(cols: list[int], t: int) -> list[int]:
-    """Pick the edge resolving the most still-identical row pairs until all
-    t rows are distinct; ties go to the lowest edge index. Splitting classes
-    only lowers a gain, so an edge whose gain is 0 is dropped for good, a
-    chosen one included."""
+def _greedy_columns(rows: list[int], m: int) -> list[int]:
+    """Pick the edge resolving the most still-identical pairs of the Ψ >= 1
+    distinct ``rows`` until all are distinct; ties go to the lowest edge
+    index. The class phase holds the classes of identical rows as masks over
+    the rows and splits each by each live column, and as splitting classes
+    only lowers a gain, an edge whose gain is 0 is dropped for good, a
+    chosen one included. Once the still-identical pairs number at most twice
+    classes × live columns, the pair phase lists their supports, transposes
+    them once, and counts a gain as one popcount per edge."""
+    cols = _column_masks(rows, m)
+    t = len(rows)
     # The classes of two rows or more, with their sizes: at first one of all
     # t rows, or none when a single row needs no test.
     classes = [((1 << t) - 1, t)] if t > 1 else []
     live = list(enumerate(cols))
     chosen: list[int] = []
-    while classes:
+    # A class-phase pick costs classes × live Ψ-bit ANDs; the pair phase
+    # lists every still-identical pair once, so it waits until they are few.
+    while classes and sum(size * (size - 1) >> 1 for _, size in classes) > 2 * len(classes) * len(live):
         best_j, best_gain = -1, 0
         kept = []
         for j, col in live:
@@ -195,6 +200,19 @@ def _greedy_columns(cols: list[int], t: int) -> list[int]:
         col = cols[best_j]
         parts = (part for cls, _ in classes for part in (cls & col, cls & ~col))
         classes = [(part, size) for part in parts if (size := part.bit_count()) > 1]
+    if classes:
+        # Rows agreeing on the chosen edges, grouped; each pair's support
+        # holds exactly the edges that would resolve it.
+        key = sum(1 << j for j in chosen).__and__
+        groups = groupby(sorted(rows, key=key), key)
+        supports = list(chain.from_iterable(starmap(xor, combinations(group, 2)) for _, group in groups))
+        pcol = _column_masks(supports, m)
+        alive = (1 << len(supports)) - 1
+        while alive:
+            gains = list(map(int.bit_count, map(alive.__and__, pcol)))
+            j = gains.index(max(gains))
+            chosen.append(j)
+            alive &= ~pcol[j]
     return chosen
 
 
@@ -207,7 +225,7 @@ def phi_greedy(g: Graph, budget: int = DEFAULT_BUDGET) -> ForcingResult:
 
 def _greedy_set(rows: list[int], m: int) -> tuple[int, ...]:
     """The sorted greedy forcing set of the Ψ >= 1 maximal matchings ``rows``."""
-    return tuple(sorted(_greedy_columns(_column_masks(rows, m), len(rows))))
+    return tuple(sorted(_greedy_columns(rows, m)))
 
 
 def phi_exact(
@@ -256,7 +274,8 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
     the first also adds every support :func:`_exchanges` finds with the
     masks of :func:`_joined_edges`, built only then. Each round indexes
     each component once."""
-    supports = _swap_pairs(rows, _scan_setup(g.edges)[0])
+    near = _scan_setup(g.edges)[0]
+    supports = _swap_pairs(rows, near)
     indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
     packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
@@ -274,7 +293,7 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
         if not missed:
             return answer, packing, nodes
         if seed:
-            supports |= _exchanges(rows, _joined_edges(g))
+            supports |= _exchanges(rows, _joined_edges(near))
             seed = False
         supports |= missed
         indexes = [_index(part) for part in _components(supports)]

@@ -10,6 +10,8 @@ search and the ILP export all work on that list of rows.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -73,13 +75,27 @@ def mask_to_edges(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_bytes(rows: Iterable[int], m: int) -> tuple[bytes, int]:
+    """The rows' joined little-endian bytes, and the bytes per row: edge e
+    of every row is bit e & 7 of byte column e >> 3. Rows of at most 64
+    edges are packed by one ``array("Q")`` at 8 bytes a row; wider rows
+    are joined from one ``int.to_bytes`` each."""
+    if m <= 64:
+        packed = array("Q", rows)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        return packed.tobytes(), 8
+    width = (m + 7) >> 3
+    return b"".join(map(int.to_bytes, rows, repeat(width), repeat("little"))), width
+
+
 def mask_renderer(names: list[str], sep: str) -> Callable[[Iterable[int]], Iterator[str]]:
     """A function giving, for each of a batch of masks, the ``sep``-joined
     names of its set bits, bit k named ``names[k]``. Byte column k of the
-    masks' joined little-endian bytes is read through one table of names."""
+    masks' :func:`_row_bytes` is read through one table of names."""
     # Table k maps each value of byte k to ``sep`` before each name it sets;
     # a row joins its columns' texts less the first ``sep``. An edgeless
-    # graph still has one zero byte per mask.
+    # graph still has one table, for the zero byte 0 of each mask.
     tables = []
     for k in range(0, len(names) or 1, 8):
         table = [""]
@@ -87,10 +103,9 @@ def mask_renderer(names: list[str], sep: str) -> Callable[[Iterable[int]], Itera
             # Values with this (highest so far) bit set end with its name.
             table += [f"{text}{sep}{name}" for text in table]
         tables.append(table)
-    width = len(tables)
 
     def render(masks: Iterable[int]) -> Iterator[str]:
-        blob = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+        blob, width = _row_bytes(masks, len(names))
         columns = [map(table.__getitem__, blob[k::width]) for k, table in enumerate(tables)]
         return map(str.removeprefix, map("".join, zip(*columns)), repeat(sep))
 

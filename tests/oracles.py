@@ -142,6 +142,28 @@ def brute_swap_pairs(rows: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def brute_greedy(rows: list[int], m: int) -> list[int]:
+    """The greedy test cover of distinct ``rows`` over edges 0..m-1, as its
+    picks in order. Each step counts, for every edge, the pairs of rows that
+    agree on the edges picked so far and differ on that edge, by comparing
+    all pairs, and picks the edge with the largest count, the lowest one on
+    a tie, until no two rows agree."""
+    picked: list[int] = []
+    seen = 0
+    while True:
+        agreeing = [(a, b) for a, b in combinations(rows, 2) if a & seen == b & seen]
+        if not agreeing:
+            return picked
+        best, best_count = None, 0
+        for e in range(m):
+            count = sum(1 for a, b in agreeing if (a >> e & 1) != (b >> e & 1))
+            if count > best_count:
+                best, best_count = e, count
+        assert best is not None, "two rows are equal"
+        picked.append(best)
+        seen |= 1 << best
+
+
 def brute_exchange_supports(g: Graph, rows: list[int]) -> set[int]:
     """Every r ⊕ r′ over all pairs of rows that become equal once r drops a
     set T of its edges and r′ a set T′. A drop is one edge, or two edges

@@ -16,6 +16,8 @@ from matchforce.forcing import (
     _column_masks,
     _components,
     _exchanges,
+    _greedy_columns,
+    _greedy_set,
     _index,
     _joined_edges,
     _min_hitting_set,
@@ -45,6 +47,7 @@ from matchforce.matchings import (
 
 from oracles import (
     brute_exchange_supports,
+    brute_greedy,
     brute_maximal_masks,
     brute_min_forcing,
     brute_swap_pairs,
@@ -356,7 +359,8 @@ def test_swap_pairs_read_every_byte_column(g, h):
 
 @st.composite
 def row_lists(draw):
-    m = draw(st.integers(0, 45))
+    # Up to 64 edges the rows are packed 8 bytes a row, above it joined.
+    m = draw(st.one_of(st.integers(0, 45), st.integers(60, 130)))
     return m, draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=40))
 
 
@@ -368,6 +372,11 @@ def row_lists(draw):
 @example((24, [(1 << 24) - 1] * 3))
 @example((40, [1 << 39]))
 @example((45, [(1 << 45) - 1]))
+@example((63, [(1 << 63) - 1, 1 << 62, 1]))
+@example((64, [(1 << 64) - 1, 1 << 63, 1 << 31 | 1]))
+@example((65, [(1 << 65) - 1, 1 << 64, 1 << 63, 0]))
+@example((72, [1 << 71 | 1 << 64, 1 << 63 | 1]))
+@example((128, [(1 << 128) - 1, 1 << 127 | 1 << 64, 1 << 63]))
 @settings(max_examples=200, deadline=None)
 def test_column_masks_transpose_the_rows(case):
     m, rows = case
@@ -375,9 +384,73 @@ def test_column_masks_transpose_the_rows(case):
     assert _column_masks(rows, m) == expected
 
 
+def _corona(name):
+    g, h = {
+        "C5oK2": (cycle(5), complete(2)),
+        "K2oK4": (complete(2), complete(4)),
+        "C4oP3": (cycle(4), path(3)),
+        "C4oC4": (cycle(4), cycle(4)),
+    }[name]
+    return corona_product(g, h).graph
+
+
+@given(small_graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_greedy_picks_equal_the_oracle(g):
+    rows = maximal_matching_masks(g)
+    picks = brute_greedy(rows, g.m)
+    assert _greedy_columns(rows, g.m) == picks
+    assert _greedy_set(rows, g.m) == tuple(sorted(picks))
+
+
+def test_greedy_set_of_c4_corona_c4():
+    g = _corona("C4oC4")
+    rows = maximal_matching_masks(g)
+    greedy = _greedy_set(rows, g.m)
+    assert (len(rows), len(greedy)) == (10_272, 26)
+    assert projections_distinct(rows, sum(1 << e for e in greedy))
+
+
+def _count_transposes(monkeypatch):
+    """The row counts of every later _column_masks call, in order."""
+    transposed = []
+    column_masks = forcing._column_masks
+    monkeypatch.setattr(forcing, "_column_masks", lambda r, m: transposed.append(len(r)) or column_masks(r, m))
+    return transposed
+
+
+@pytest.mark.parametrize(
+    "name,sizes", [("C5oK2", [277, 934]), ("K2oK4", [225, 812]), ("C4oP3", [257, 997])]
+)
+def test_greedy_picks_through_the_pair_phase_equal_the_oracle(monkeypatch, name, sizes):
+    # The rows are transposed for the class phase, then the supports of the
+    # pairs still identical at the switch, once, for the pair phase.
+    g = _corona(name)
+    rows = maximal_matching_masks(g)
+    transposed = _count_transposes(monkeypatch)
+    picks = _greedy_columns(rows, g.m)
+    assert transposed == sizes
+    assert picks == brute_greedy(rows, g.m)
+
+
+def test_greedy_of_one_row_runs_no_pair_phase(monkeypatch):
+    transposed = _count_transposes(monkeypatch)
+    assert _greedy_columns([0b101], 3) == []
+    assert transposed == [1]
+
+
 def _disjoint_union(a, b):
     """a and b side by side: b's vertices and edges come after a's."""
     return Graph(a.n + b.n, a.edges + tuple((u + a.n, v + a.n) for u, v in b.edges))
+
+
+def test_swap_pairs_past_64_edges_equal_the_oracle():
+    # K1,62 beside C5: 67 edges, so each row is joined from 9 bytes, and
+    # the cycle's swap pairs sit on both sides of edge 64.
+    g = _disjoint_union(star(63), cycle(5))
+    rows, expected = _swap_oracle(g)
+    assert (g.m, len(rows)) == (67, 62 * 5)
+    assert _swap_pairs(rows, _scan_setup(g.edges)[0]) == expected
 
 
 @given(small_graphs(), small_graphs())
@@ -403,7 +476,8 @@ def test_phi_adds_over_a_disjoint_union(a, b):
 @settings(max_examples=100, deadline=None)
 def test_exchange_supports_equal_the_oracle(g):
     rows = maximal_matching_masks(g)
-    assert _exchanges(rows, _joined_edges(g)) == brute_exchange_supports(g, rows)
+    joined = _joined_edges(_scan_setup(g.edges)[0])
+    assert _exchanges(rows, joined) == brute_exchange_supports(g, rows)
 
 
 @st.composite
@@ -437,13 +511,16 @@ def test_seeded_rounds_give_the_oracle_witness(g):
     "g,h,calls", [(cycle(4), complete(2), 0), (complete(3), path(3), 1)], ids=["C4oK2", "K3oP3"]
 )
 def test_joined_masks_are_built_only_for_the_seeding(monkeypatch, g, h, calls):
-    # C4oK2's round 1 proves; K3oP3's first answer misses supports.
+    # C4oK2's round 1 proves; K3oP3's first answer misses supports. The
+    # seeding reuses the swap pass's near masks: _scan_setup runs once.
     graph = corona_product(g, h).graph
-    made = []
-    joined_edges = forcing._joined_edges
-    monkeypatch.setattr(forcing, "_joined_edges", lambda x: made.append(x) or joined_edges(x))
+    made, scans = [], []
+    joined_edges, scan_setup = forcing._joined_edges, forcing._scan_setup
+    monkeypatch.setattr(forcing, "_joined_edges", lambda near: made.append(near) or joined_edges(near))
+    monkeypatch.setattr(forcing, "_scan_setup", lambda edges: scans.append(edges) or scan_setup(edges))
     assert phi_exact(graph).optimal
-    assert made == [graph] * calls
+    assert scans == [graph.edges]
+    assert made == [scan_setup(graph.edges)[0]] * calls
 
 
 @pytest.mark.parametrize(
@@ -461,7 +538,7 @@ def test_exchange_seeds_stay_small():
     # two edges of a row, not only joined ones, take the peak past 1.5 MB.
     copy = corona_product(cycle(4), complete(1)).graph
     g = _disjoint_union(_disjoint_union(copy, copy), copy)
-    rows, joined = maximal_matching_masks(g), _joined_edges(g)
+    rows, joined = maximal_matching_masks(g), _joined_edges(_scan_setup(g.edges)[0])
     assert (g.m, len(rows)) == (24, 343)
     tracemalloc.start()
     try:

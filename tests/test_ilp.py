@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchforce import cli, ilp
 from matchforce.corona import corona_product
@@ -166,6 +166,10 @@ def test_export_matches_the_reference_writer(name, graph, dedup):
         lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), max_size=8))
     )
 )
+# Up to 64 names the masks are packed 8 bytes a mask, above it joined.
+@example((0, [0, 0]))
+@example((64, [0, (1 << 64) - 1, 1 << 63 | 1, 1 << 7 | 1 << 8]))
+@example((65, [0, (1 << 65) - 1, 1 << 64, 1 << 63 | 1]))
 def test_support_renderer_joins_the_names_of_set_bits(case):
     m, masks = case
     names = [f"x{k}" for k in range(1, m + 1)]
