@@ -47,8 +47,10 @@ class ForcingResult:
     case ``size`` is the global forcing number and ``edges`` is the
     lexicographically smallest optimal set. ``lower_bound`` is ceil(log2 Ψ)
     from :func:`phi_greedy`; :func:`phi_exact` reports the larger of that and
-    a greedy packing of disjoint swap pairs. ``nodes`` counts the branching
-    nodes of the hitting-set searches, summed over all rounds.
+    a greedy packing of disjoint swap pairs and, when the node limit cut the
+    search off, the size of the last round it solved in full. ``nodes``
+    counts the branching nodes of the hitting-set searches, summed over all
+    rounds.
     """
 
     edges: tuple[int, ...]
@@ -238,7 +240,8 @@ def phi_exact(
     Each round solves the supports known so far, at first the swap pairs,
     one connected component at a time, by an include-first search over edge
     indices that is pruned by a greedy packing of disjoint unhit supports,
-    held as one bitmask over the supports' indices.
+    held as one bitmask over the supports' indices. The packing takes the
+    support whose last edge comes first, as interval scheduling does.
     It then adds the support of every pair of matchings that the union of
     the answers leaves indistinguishable; the first time there is one, it
     also adds every support of an alternating path or cycle of at most 4
@@ -248,7 +251,9 @@ def phi_exact(
 
     ``lower_bound`` is the larger of ceil(log2 Ψ) and the root packing. If
     the node limit, counted over all rounds, is hit, the greedy set is
-    returned with ``optimal=False``. Graphs with more than
+    returned with ``optimal=False``, and ``lower_bound`` is also at least
+    the size of the last round's answer solved in full: a minimum hitting
+    set of a relaxation is no larger than φ. Graphs with more than
     ``DEFAULT_MAX_EDGES`` edges are refused before enumeration.
     """
     if node_limit < 1:
@@ -258,18 +263,20 @@ def phi_exact(
             f"graph has {g.m} edges; exact search is capped at {DEFAULT_MAX_EDGES}"
         )
     rows = maximal_matching_masks(g, budget)
-    answer, packing, nodes = _min_forcing_set(rows, g, node_limit)
+    answer, bound, nodes = _min_forcing_set(rows, g, node_limit)
     greedy = _greedy_set(rows, g.m)
     edges = greedy if answer is None else mask_to_edges(answer)
-    lower = max((len(rows) - 1).bit_length(), packing)
+    lower = max((len(rows) - 1).bit_length(), bound)
     return ForcingResult(edges, len(edges), answer is not None, lower, len(greedy), nodes)
 
 
 def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | None, int, int]:
     """For the maximal matchings ``rows`` of ``g``: their lexicographically
     smallest minimum forcing set as an edge mask, or None once
-    ``node_limit`` nodes run out; the packing of disjoint swap pairs read
-    from round 1's indexes; the nodes over all rounds. Round 1 knows the
+    ``node_limit`` nodes run out; a lower bound on its size, the packing
+    of disjoint swap pairs read from round 1's indexes, or once the nodes
+    run out the larger of that and the size of the last round's answer
+    solved in full; the nodes over all rounds. Round 1 knows the
     :func:`_swap_pairs` alone. Each answer that misses supports adds them;
     the first also adds every support :func:`_exchanges` finds with the
     masks of :func:`_joined_edges`, built only then. Each round indexes
@@ -281,17 +288,20 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
     packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
     nodes = 0
     seed = True
+    solved = 0
     while True:
         answer = 0
         for index in indexes:
             hit, used = _min_hitting_set(index, node_limit - nodes)
             nodes += used
             if hit is None:
-                return None, packing, nodes
+                # Each solved round solved a relaxation exactly.
+                return None, max(packing, solved), nodes
             answer |= hit
         missed = set(_collisions(rows, answer))
         if not missed:
             return answer, packing, nodes
+        solved = answer.bit_count()
         if seed:
             supports |= _exchanges(rows, _joined_edges(near))
             seed = False
@@ -301,13 +311,11 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
 
 def _components(supports: set[int]) -> list[list[int]]:
     """The components of the support family, joined by shared edges: the
-    supports of each by size, then as sorted edge tuples. The packing takes
-    them in that order, so swap pairs go by lowest edge, then lowest
-    partner."""
-    # For masks of one size, sorted edge tuples rise as the bit strings read
-    # lowest edge first fall: the smaller tuple holds the first edge they differ in.
-    supports = sorted(supports, key=lambda s: f"{s:b}"[::-1], reverse=True)
-    supports.sort(key=int.bit_count)
+    supports of each in ascending integer order, that is by last edge, then
+    by the next-highest edge. The packing takes them in that order, and a
+    support cut to its edges from j on keeps its last edge, so the packing
+    packs the one ending first, which is a maximum packing of intervals."""
+    supports = sorted(supports)
     spans: list[int] = []
     for s in supports:
         joined = s
@@ -344,7 +352,10 @@ def _packing(unhit: int, cap: int, keep: list[int]) -> int:
     position j on and cut to those edges, into disjoint sets in index order,
     and stop at ``cap``; each packed one needs a chosen edge of its own.
     ``keep`` is :func:`_index`'s table for j: the lowest unhit support is
-    packed, and every one its cut meets is passed over."""
+    packed, and every one its cut meets is passed over. In the order of
+    :func:`_components` that is the support whose last edge, which a cut
+    keeps, comes first; on supports that are edge ranges this packs as
+    many as any packing can."""
     count = 0
     while unhit and count < cap:
         unhit &= keep[(unhit & -unhit).bit_length() - 1]
@@ -356,9 +367,10 @@ def _min_hitting_set(index: tuple, node_limit: int) -> tuple[int | None, int]:
     """The lexicographically smallest minimum hitting set of the supports
     that :func:`_index` made ``index`` of, as an edge mask, and the nodes
     spent on it; None when ``node_limit`` nodes run out. A branch dies once
-    its size plus the packing, run inline on ``keeps[j]``, reaches ``limit``,
-    at first one more than a set of one edge per support, then the size of
-    each set found, so include-first order finds that optimum first."""
+    its size plus the packing, run inline on ``keeps[j]`` and so by last
+    edge first, reaches ``limit``, at first one more than a set of one edge
+    per support, then the size of each set found, so include-first order
+    finds that optimum first."""
     cols, gone, keeps = index
     best = None
     nodes = 0

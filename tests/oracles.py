@@ -222,6 +222,16 @@ def brute_min_forcing(g: Graph, rows: list[int]) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("rows are distinct, so the full edge set always works")
 
 
+def brute_max_packing(supports: list[int]) -> int:
+    """The most supports that are pairwise disjoint, by testing every subset
+    from the largest size down."""
+    for k in range(len(supports), 0, -1):
+        for group in combinations(supports, k):
+            if all(not a & b for a, b in combinations(group, 2)):
+                return k
+    return 0
+
+
 def list_packing(supports: list[int], j: int) -> tuple[int, int]:
     """Greedily pack the supports, cut to the edges from j on, into disjoint
     sets in the given order, passing over the list of every support. Returns

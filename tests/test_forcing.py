@@ -48,6 +48,7 @@ from matchforce.matchings import (
 from oracles import (
     brute_exchange_supports,
     brute_greedy,
+    brute_max_packing,
     brute_maximal_masks,
     brute_min_forcing,
     brute_swap_pairs,
@@ -217,25 +218,25 @@ def test_exact_equals_exhaustive_search(name, graph):
     assert is_global_forcing_set(graph, result.edges)
 
 
-@pytest.mark.parametrize("node_limit,optimal", [(4459, False), (4460, True)])
+@pytest.mark.parametrize("node_limit,optimal", [(2504, False), (2505, True)])
 def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
     # On C4oP3 the greedy set (0, ..., 11) is already optimal, and the proof
-    # takes 4,460 hitting-set nodes over 2 rounds, so one node less of
+    # takes 2,505 hitting-set nodes over 2 rounds, so one node less of
     # budget leaves it unproven. Any change in the visiting order, in the
     # bound, in the supports each round adds or in where nodes are counted
     # moves that point.
     g = corona_product(cycle(4), path(3)).graph
     result = phi_exact(g, node_limit=node_limit)
     assert (result.edges, result.size, result.optimal) == (tuple(range(12)), 12, optimal)
-    assert result.nodes == 4460
+    assert result.nodes == 2505
     assert result.greedy_size == 12
 
 
 @pytest.mark.parametrize(
     "g,h,phi,nodes,digest",
     [
-        (complete(3), path(3), 9, 517, "9bb5512303e9ce0b813bba62d879d637dfdcfe4441525945757dced51c89fd2c"),
-        (path(3), path(3), 8, 195, "923753b14815e34a747aa232bfbe7fef71b055adc2c5a1680884a9bebe00f7bf"),
+        (complete(3), path(3), 9, 391, "2a28c0e074bb7e68a4bb9b2c71cb75c0426e510438c446c28392f7beb082dcbb"),
+        (path(3), path(3), 8, 151, "7caab4b24e24947a00b4a3bd754a9a4e8a5aa3f66240266fde004e24762d4223"),
     ],
     ids=["K3oP3", "P3oP3"],
 )
@@ -291,6 +292,28 @@ def test_mask_packing_equals_the_list_packing(supports):
             assert _packing(everything, packed - 1, keeps[j]) == max(packed - 1, 0)
 
 
+# Masks of the edges lo to hi, at most 10 ranges over 15 edges.
+edge_ranges = st.lists(
+    st.tuples(st.integers(0, 14), st.integers(0, 14)).map(
+        lambda ends: (2 << max(ends)) - (1 << min(ends))
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(edge_ranges)
+@example([0b111, 0b1100, 0b111000])
+@settings(max_examples=300, deadline=None)
+def test_root_packing_of_edge_ranges_is_maximum(ranges):
+    # Packing the range that ends first is interval scheduling. By size first,
+    # {2, 3} would shut out both {0, 1, 2} and {3, 4, 5}.
+    family = set(ranges)
+    parts = _components(family)
+    packed = sum(_packing((1 << len(part)) - 1, len(part), _index(part)[2][0]) for part in parts)
+    assert packed == brute_max_packing(list(family))
+
+
 @given(support_families)
 @settings(max_examples=200, deadline=None)
 def test_keep_tables_share_one_mask_per_support_edge(supports):
@@ -311,9 +334,9 @@ def test_keep_tables_share_one_mask_per_support_edge(supports):
 
 @given(st.sets(st.integers(1, (1 << 20) - 1), max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_components_order_supports_by_size_then_edge_tuple(family):
-    order = sorted(family, key=lambda s: (s.bit_count(), mask_to_edges(s)))
-    rank = {s: i for i, s in enumerate(order)}
+def test_components_order_supports_in_ascending_integer_order(family):
+    # By last edge, then by the next-highest edge: the packing's order.
+    rank = {s: i for i, s in enumerate(sorted(family))}
     parts = _components(family)
     assert sorted(s for part in parts for s in part) == sorted(family)
     for part in parts:
@@ -528,9 +551,27 @@ def test_joined_masks_are_built_only_for_the_seeding(monkeypatch, g, h, calls):
 )
 def test_exchange_seeds_prove_within_the_node_budget(g, h, phi):
     # With the swap pairs and each answer's missed supports alone, these
-    # took 795,955 and 774,721 nodes.
-    result = phi_exact(corona_product(g, h).graph, node_limit=300_000)
+    # took 795,955 and 774,721 nodes; packing supports by size, then edge
+    # tuple, took 168,453 and 95,353. By last edge they take 54,447 and 25,793.
+    result = phi_exact(corona_product(g, h).graph, node_limit=60_000)
     assert (result.size, result.optimal) == (phi, True)
+
+
+def test_unproven_lower_bound_is_the_last_solved_round(monkeypatch):
+    # Each round solves a relaxation of the paper's ILP exactly, so its
+    # answer's size is a lower bound on phi; the rounds' answers reach
+    # _collisions. ceil(log2 Psi) and the root packing give 5 on K4,4 (phi 9).
+    g = complete_bipartite(4, 4)
+    assert phi_exact(g, node_limit=1).lower_bound == 5
+    sizes = []
+    collisions = forcing._collisions
+    monkeypatch.setattr(
+        forcing, "_collisions", lambda rows, mask: sizes.append(mask.bit_count()) or collisions(rows, mask)
+    )
+    result = phi_exact(g, node_limit=20_000)
+    assert (result.size, result.optimal, result.nodes) == (9, False, 20_001)
+    assert sizes == sorted(sizes)
+    assert result.lower_bound == sizes[-1] == 8
 
 
 def test_exchange_seeds_stay_small():
@@ -657,7 +698,7 @@ class TestClosedForms:
     def test_even_complete(self, k, expected):
         assert phi_exact(complete(2 * k)).size == (2 * k - 2) ** 2 // 2 == expected
 
-    # K4,4 takes 255,422 hitting-set nodes, about a second.
+    # K4,4 takes 219,629 hitting-set nodes, under half a second.
     @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (3, 4), (4, 9)])
     def test_balanced_bipartite(self, k, expected):
         assert phi_exact(complete_bipartite(k, k)).size == (k - 1) ** 2 == expected
