@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, groupby, repeat, starmap
+from itertools import chain, combinations, compress, groupby, repeat, starmap
 from operator import or_, xor
 from typing import Iterable, Iterator
 
@@ -123,17 +123,21 @@ def _swap_pairs(rows: list[int], near: list[int]) -> set[int]:
     return pairs
 
 
-def _exchanges(rows: list[int], joined: list[int]) -> set[int]:
+def _exchanges(rows: list[int], near: list[int]) -> set[int]:
     """The supports r ⊕ r′ of two rows that are equal once r drops an edge
     set T and r′ a set T′, which seed the hitting set once. A drop is one
-    edge x, or x and a later edge y of ``joined[x]``, so a support is an
-    alternating path or cycle of at most 4 edges; the one-edge drops alone
-    give the :func:`_swap_pairs`. Each row goes in one bucket per drop,
-    keyed by the row without it; any two drops of one bucket give a support.
-    A bucket holds its drops as bits, x at bit x and {x, y} at (x + 1)·m + y,
-    so buckets with the same drops are expanded once. Two-edge drops only of
-    joined edges keep the buckets near the swap pairs' own count."""
-    m = len(joined)
+    edge x, or x and a later edge y that some edge joins, end to end, to x,
+    so a support is an alternating path or cycle of at most 4 edges; the
+    one-edge drops alone give the :func:`_swap_pairs`. Each row goes in one
+    bucket per drop, keyed by the row without it; any two drops of one
+    bucket give a support. A bucket holds its drops as bits, x at bit x and
+    {x, y} at (x + 1)·m + y, so buckets with the same drops are expanded
+    once. Two-edge drops only of joined edges keep the buckets near the
+    swap pairs' own count."""
+    m = len(near)
+    # joined[x]: the edges sharing an end with x or with an edge that does,
+    # from the masks of _scan_setup. No row holds x and one of the former.
+    joined = [reduce(or_, (near[z] for z in mask_to_edges(nb)), 0) for nb in near]
     dropped: dict[int, int] = {}
     for row in rows:
         rest = row
@@ -155,15 +159,6 @@ def _exchanges(rows: list[int], joined: list[int]) -> set[int]:
             sets = [1 << i % m | 1 << i // m >> 1 for i in mask_to_edges(drops)]
             supports.update(a ^ b for a, b in combinations(sets, 2))
     return supports
-
-
-def _joined_edges(near: list[int]) -> list[int]:
-    """joined[x], as a mask over edge indices, holds each edge y that some
-    edge joins, end to end, to edge x: the edges sharing an end with x or
-    with an edge that does, from the ``near`` masks of :func:`_scan_setup`.
-    It holds x and the edges sharing an end with x too, which no matching
-    holds beside x."""
-    return [reduce(or_, (near[z] for z in mask_to_edges(nb)), 0) for nb in near]
 
 
 def _greedy_columns(rows: list[int], m: int) -> list[int]:
@@ -278,14 +273,13 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
     run out the larger of that and the size of the last round's answer
     solved in full; the nodes over all rounds. Round 1 knows the
     :func:`_swap_pairs` alone. Each answer that misses supports adds them;
-    the first also adds every support :func:`_exchanges` finds with the
-    masks of :func:`_joined_edges`, built only then. Each round indexes
-    each component once."""
+    the first also adds every support :func:`_exchanges` finds from the
+    swap pass's ``near`` masks. Each round indexes each component once."""
     near = _scan_setup(g.edges)[0]
     supports = _swap_pairs(rows, near)
     indexes = [_index(part) for part in _components(supports)]
     # Packings of disjoint components add up.
-    packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for *_, keeps in indexes)
+    packing = sum(_packing((1 << len(keeps[0])) - 1, len(keeps[0]), keeps[0]) for _, keeps in indexes)
     nodes = 0
     seed = True
     solved = 0
@@ -303,7 +297,7 @@ def _min_forcing_set(rows: list[int], g: Graph, node_limit: int) -> tuple[int | 
             return answer, packing, nodes
         solved = answer.bit_count()
         if seed:
-            supports |= _exchanges(rows, _joined_edges(near))
+            supports |= _exchanges(rows, near)
             seed = False
         supports |= missed
         indexes = [_index(part) for part in _components(supports)]
@@ -326,25 +320,25 @@ def _components(supports: set[int]) -> list[list[int]]:
     return [[s for s in supports if s & span] for span in spans]
 
 
-def _index(supports: list[int]) -> tuple[list[int], list[int], list[list[int]]]:
-    """Number one component's supports in order. As masks over their indices:
-    ``cols[e]`` holds those with edge e and ``gone[j]`` those with no edge
-    from j on. ``keeps[j][i]`` is ~ the supports meeting support i's edges
-    from j on, for j up to its last edge: the unhit ones a packing keeps
-    once it packs support i at position j. The tables are copies of one
-    running list, so they share its Σ|s| masks of len(supports) bits."""
+def _index(supports: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Number one component's supports in order. ``cols[e]`` holds, as a
+    mask over their indices, those with edge e. ``keeps[j][i]`` is ~ the
+    supports meeting support i's edges from j on, for j up to one past the
+    last edge: the unhit ones a packing keeps once it packs support i at
+    position j, or -1, all of them, once support i has no edge from j on.
+    The tables are copies of one running list, so they share its Σ|s|
+    masks of len(supports) bits."""
     cols = _column_masks(supports, max(s.bit_length() for s in supports))
-    suf = list(accumulate(reversed(cols), or_, initial=0))
-    gone = [suf[-1] ^ rest for rest in reversed(suf)]
     keep = [-1] * len(supports)
     keeps = []
     for col in reversed(cols):
+        keeps.append(keep.copy())
         drop = ~col
         for i in mask_to_edges(col):
             keep[i] &= drop
-        keeps.append(keep.copy())
+    keeps.append(keep)
     keeps.reverse()
-    return cols, gone, keeps
+    return cols, keeps
 
 
 def _packing(unhit: int, cap: int, keep: list[int]) -> int:
@@ -370,8 +364,11 @@ def _min_hitting_set(index: tuple, node_limit: int) -> tuple[int | None, int]:
     its size plus the packing, run inline on ``keeps[j]`` and so by last
     edge first, reaches ``limit``, at first one more than a set of one edge
     per support, then the size of each set found, so include-first order
-    finds that optimum first."""
-    cols, gone, keeps = index
+    finds that optimum first. An unhit support with no edge from j on
+    needs no test of its own: nothing passes it over, so the packing runs
+    out of room; in the order of :func:`_components` such supports come
+    first, and the lowest unhit one's -1 entry ends the branch at once."""
+    cols, keeps = index
     best = None
     nodes = 0
     limit = len(keeps[0]) + 1
@@ -380,13 +377,12 @@ def _min_hitting_set(index: tuple, node_limit: int) -> tuple[int | None, int]:
     stack = [(0, 0, (1 << len(keeps[0])) - 1)]
     while stack:
         j, chosen, unhit = stack.pop()
-        if unhit & gone[j]:
-            continue
         size = chosen.bit_count()
         room = limit - size
         if unhit:
-            # j is past the last edge only once nothing is unhit.
             keep = keeps[j]
+            if keep[(unhit & -unhit).bit_length() - 1] == -1:
+                continue
             rest = unhit
             while rest and room > 0:
                 rest &= keep[(rest & -rest).bit_length() - 1]

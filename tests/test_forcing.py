@@ -19,7 +19,6 @@ from matchforce.forcing import (
     _greedy_columns,
     _greedy_set,
     _index,
-    _joined_edges,
     _min_hitting_set,
     _packing,
     _swap_pairs,
@@ -233,19 +232,24 @@ def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
 
 
 @pytest.mark.parametrize(
-    "g,h,phi,nodes,digest",
+    "g,h,limit,phi,nodes,digest",
     [
-        (complete(3), path(3), 9, 391, "2a28c0e074bb7e68a4bb9b2c71cb75c0426e510438c446c28392f7beb082dcbb"),
-        (path(3), path(3), 8, 151, "7caab4b24e24947a00b4a3bd754a9a4e8a5aa3f66240266fde004e24762d4223"),
+        (complete(3), path(3), [], 9, 391, "2a28c0e074bb7e68a4bb9b2c71cb75c0426e510438c446c28392f7beb082dcbb"),
+        (path(3), path(3), [], 8, 151, "7caab4b24e24947a00b4a3bd754a9a4e8a5aa3f66240266fde004e24762d4223"),
+        # The phi-exact benchmark's two runs under a node limit, which both prove.
+        (cycle(5), complete(2), ["--node-limit", "50000"], 13, 15,
+         "e4b19d708fcf08f319161bc4429e6ca91afab780f0ddee72f7b6ce548087ba20"),
+        (complete(2), complete(4), ["--node-limit", "20000"], 16, 44,
+         "1dc7067c3e280138985e2b82a4dcf55a30a93af3bd4d3015ee03844bf0441024"),
     ],
-    ids=["K3oP3", "P3oP3"],
+    ids=["K3oP3", "P3oP3", "C5oK2", "K2oK4"],
 )
-def test_phi_json_pins_node_count_and_bytes(g, h, phi, nodes, digest, tmp_path, capsys):
+def test_phi_json_pins_node_count_and_bytes(g, h, limit, phi, nodes, digest, tmp_path, capsys):
     # Like the C4oP3 pin: a change in the search's visiting order or bound
     # moves the node count, and with it the bytes of ``phi --json``.
     graph_file = tmp_path / "G.el"
     graph_file.write_text(serialize_edge_list(corona_product(g, h).graph))
-    assert main(["phi", "--json", "--in", str(graph_file)]) == 0
+    assert main(["phi", "--json", "--in", str(graph_file), *limit]) == 0
     out = capsys.readouterr().out
     assert f'"phi": {phi}, ' in out and out.endswith(f'"nodes": {nodes}}}\n')
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -281,13 +285,13 @@ def test_mask_search_visits_the_list_search_nodes(supports, node_limit):
 @given(support_families)
 @settings(max_examples=200, deadline=None)
 def test_mask_packing_equals_the_list_packing(supports):
-    _, gone, keeps = _index(supports)
+    _, keeps = _index(supports)
     everything = (1 << len(supports)) - 1
-    for j in range(len(gone)):
+    for j in range(len(keeps)):
         packed, _ = list_packing(supports, j)
-        assert bool(everything & gone[j]) == (packed < 0)
+        # An entry of -1 marks a support with no edge from j on.
+        assert (-1 in keeps[j]) == (packed < 0)
         if packed >= 0:
-            # Every support has an edge from j on, so j < len(keeps).
             assert _packing(everything, len(supports), keeps[j]) == packed
             assert _packing(everything, packed - 1, keeps[j]) == max(packed - 1, 0)
 
@@ -310,18 +314,19 @@ def test_root_packing_of_edge_ranges_is_maximum(ranges):
     # {2, 3} would shut out both {0, 1, 2} and {3, 4, 5}.
     family = set(ranges)
     parts = _components(family)
-    packed = sum(_packing((1 << len(part)) - 1, len(part), _index(part)[2][0]) for part in parts)
+    packed = sum(_packing((1 << len(part)) - 1, len(part), _index(part)[1][0]) for part in parts)
     assert packed == brute_max_packing(list(family))
 
 
 @given(support_families)
 @settings(max_examples=200, deadline=None)
 def test_keep_tables_share_one_mask_per_support_edge(supports):
-    cols, _, keeps = _index(supports)
-    assert len(keeps) == len(cols)
+    cols, keeps = _index(supports)
+    # One table per edge position and one past the last, where all are -1.
+    assert len(keeps) == len(cols) + 1
     for i, s in enumerate(supports):
         edges = mask_to_edges(s)
-        for j in range(edges[-1] + 1):
+        for j in range(len(keeps)):
             meets = 0
             for e in edges:
                 if e >= j:
@@ -330,6 +335,20 @@ def test_keep_tables_share_one_mask_per_support_edge(supports):
     # Copies of one running list: each support edge makes one new mask.
     distinct = {id(keep) for table in keeps for keep in table}
     assert len(distinct) <= sum(s.bit_count() for s in supports) + 1
+
+
+@given(support_families)
+@settings(max_examples=200, deadline=None)
+def test_supports_with_no_edge_left_come_first_in_component_order(supports):
+    # The search ends a branch on the lowest unhit support's keeps entry
+    # alone, so it catches every support with no edge left only if those
+    # have the lowest indices.
+    for part in _components(set(supports)):
+        _, keeps = _index(part)
+        for j, keep in enumerate(keeps):
+            dead = [not s >> j for s in part]
+            assert dead == sorted(dead, reverse=True)
+            assert [entry == -1 for entry in keep] == dead
 
 
 @given(st.sets(st.integers(1, (1 << 20) - 1), max_size=40))
@@ -499,8 +518,7 @@ def test_phi_adds_over_a_disjoint_union(a, b):
 @settings(max_examples=100, deadline=None)
 def test_exchange_supports_equal_the_oracle(g):
     rows = maximal_matching_masks(g)
-    joined = _joined_edges(_scan_setup(g.edges)[0])
-    assert _exchanges(rows, joined) == brute_exchange_supports(g, rows)
+    assert _exchanges(rows, _scan_setup(g.edges)[0]) == brute_exchange_supports(g, rows)
 
 
 @st.composite
@@ -520,7 +538,7 @@ def test_seeded_rounds_give_the_oracle_witness(g):
     # one call of _exchanges.
     seeded = []
     exchanges = forcing._exchanges
-    forcing._exchanges = lambda rows, joined: seeded.append(joined) or exchanges(rows, joined)
+    forcing._exchanges = lambda rows, near: seeded.append(near) or exchanges(rows, near)
     try:
         result = phi_exact(g)
     finally:
@@ -535,11 +553,12 @@ def test_seeded_rounds_give_the_oracle_witness(g):
 )
 def test_joined_masks_are_built_only_for_the_seeding(monkeypatch, g, h, calls):
     # C4oK2's round 1 proves; K3oP3's first answer misses supports. The
-    # seeding reuses the swap pass's near masks: _scan_setup runs once.
+    # seeding, which joins the edges, reuses the swap pass's near masks:
+    # _scan_setup runs once.
     graph = corona_product(g, h).graph
     made, scans = [], []
-    joined_edges, scan_setup = forcing._joined_edges, forcing._scan_setup
-    monkeypatch.setattr(forcing, "_joined_edges", lambda near: made.append(near) or joined_edges(near))
+    exchanges, scan_setup = forcing._exchanges, forcing._scan_setup
+    monkeypatch.setattr(forcing, "_exchanges", lambda rows, near: made.append(near) or exchanges(rows, near))
     monkeypatch.setattr(forcing, "_scan_setup", lambda edges: scans.append(edges) or scan_setup(edges))
     assert phi_exact(graph).optimal
     assert scans == [graph.edges]
@@ -579,11 +598,11 @@ def test_exchange_seeds_stay_small():
     # two edges of a row, not only joined ones, take the peak past 1.5 MB.
     copy = corona_product(cycle(4), complete(1)).graph
     g = _disjoint_union(_disjoint_union(copy, copy), copy)
-    rows, joined = maximal_matching_masks(g), _joined_edges(_scan_setup(g.edges)[0])
+    rows, near = maximal_matching_masks(g), _scan_setup(g.edges)[0]
     assert (g.m, len(rows)) == (24, 343)
     tracemalloc.start()
     try:
-        _exchanges(rows, joined)
+        _exchanges(rows, near)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -647,8 +666,8 @@ def test_swap_cover_falls_short_without_a_perfect_matching():
 
 
 # phi and the greedy size. On C6oK2 the greedy set has 16 edges and the
-# optimum 15, so there the greedy set is not optimal. C4oP3 takes
-# the most hitting-set rounds of any instance measured, 8.
+# optimum 15, so there the greedy set is not optimal. C4oP3 takes 2
+# hitting-set rounds; K4,4 takes the most of any instance measured, 129.
 HIGHS_INSTANCES = [
     ("C4oK2", cycle(4), complete(2), 10, 10),
     ("K3oP3", complete(3), path(3), 9, 9),
