@@ -170,18 +170,17 @@ def _exact(graph: Graph, budget: int, graded: dict) -> tuple[MatchingSummary, in
     """Enumerate ``graph`` once for its summary and the φ that the default
     exact search proves, which is None past the default node limit, or past
     ``DEFAULT_MAX_EDGES``, where the summary is counted and nothing listed.
-    ``graded`` holds the answers found so far, by vertex count and edge
-    list; a graph found there is not enumerated again."""
-    key = graph.n, graph.edges
-    if key not in graded:
+    ``graded`` holds the answers found so far, by graph (that is, by vertex
+    count and edge list); a graph found there is not enumerated again."""
+    if graph not in graded:
         if graph.m > DEFAULT_MAX_EDGES:
-            graded[key] = summarize_matchings(graph, budget), None
+            graded[graph] = summarize_matchings(graph, budget), None
         else:
             rows = maximal_matching_masks(graph, budget)
             summary = _summarize_masks(rows, graph.n)
             answer = _min_forcing_set(rows, graph, DEFAULT_NODE_LIMIT)[0]
-            graded[key] = summary, None if answer is None else answer.bit_count()
-    return graded[key]
+            graded[graph] = summary, None if answer is None else answer.bit_count()
+    return graded[graph]
 
 
 def _exact_factor(graph: Graph, name: str, budget: int, graded: dict) -> tuple[MatchingSummary, int]:

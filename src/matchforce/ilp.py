@@ -82,26 +82,17 @@ class IlpModel:
     differ) once, in first-seen order, in both forms. With deduplication,
     ``labels`` holds the first row pair of each support and each support is
     one constraint; without it, ``labels`` is None and every row pair is its
-    own constraint. ``counts`` (each support with the number of row pairs
-    behind it) and ``constraints`` (the model as :class:`IlpConstraint`
-    objects) are built on first read; :func:`export_lp` reads neither. Two
-    models are equal when their fields are, so a model built with
-    deduplication never equals one built without.
+    own constraint. ``constraints`` (the model as :class:`IlpConstraint`
+    objects, with the number of row pairs behind each support counted in one
+    pass over the pairs) is built on first read; :func:`export_lp` does not
+    read it. Two models are equal when their fields are, so a model built
+    with deduplication never equals one built without.
     """
 
     num_edges: int
     rows: list[int]
     supports: list[int]
     labels: list[tuple[int, int]] | None = None
-
-    @cached_property
-    def counts(self) -> Counter[int]:
-        # Counted pair by pair, so the keys come in first-seen order too.
-        counts: Counter[int] = Counter()
-        rows = self.rows
-        for i, row in enumerate(rows):
-            counts.update(map(xor, repeat(row), rows[i + 1 :]))
-        return counts
 
     @cached_property
     def constraints(self) -> tuple[IlpConstraint, ...]:
@@ -114,10 +105,13 @@ class IlpModel:
                 for i, row in enumerate(rows)
                 for j in range(i + 1, len(rows))
             )
+        counts: Counter[int] = Counter()
+        for i, row in enumerate(rows):
+            counts.update(map(xor, repeat(row), rows[i + 1 :]))
         index = {row: i for i, row in enumerate(rows)}
         return tuple(
-            IlpConstraint(label, mask_to_edges(key), _RowPairs(key, count, rows, index))
-            for label, (key, count) in zip(self.labels, self.counts.items())
+            IlpConstraint(label, mask_to_edges(key), _RowPairs(key, counts[key], rows, index))
+            for label, key in zip(self.labels, self.supports)
         )
 
     def satisfied_by(self, edge_mask: int) -> bool:
@@ -144,7 +138,8 @@ def build_model(g: Graph, budget: int = DEFAULT_BUDGET, dedup: bool = True) -> I
     rows = maximal_matching_masks(g, budget)
     if not dedup and len(rows) * (len(rows) - 1) // 2 > budget:
         raise _too_many_constraints(budget)
-    index = {row: i for i, row in enumerate(rows)}
+    # Only the labels name a row by its index.
+    index = {row: i for i, row in enumerate(rows)} if dedup else {}
     # Each row is probed against every later row; most supports were seen
     # before, so a pair costs one set lookup. Since rows are distinct, the
     # supports row i adds are distinct, and each names the one later row j

@@ -241,8 +241,12 @@ def test_node_limit_pins_visiting_order_and_node_count(node_limit, optimal):
          "e4b19d708fcf08f319161bc4429e6ca91afab780f0ddee72f7b6ce548087ba20"),
         (complete(2), complete(4), ["--node-limit", "20000"], 16, 44,
          "1dc7067c3e280138985e2b82a4dcf55a30a93af3bd4d3015ee03844bf0441024"),
+        # One node short of the proof: the greedy set with the last solved
+        # round's lower bound, the only unproven run pinned here.
+        (cycle(4), path(3), ["--node-limit", "2504"], 12, 2505,
+         "7e30b0dd942b654a8c13261e9fa025994a05f9a92871d0422992a7f33a2f1330"),
     ],
-    ids=["K3oP3", "P3oP3", "C5oK2", "K2oK4"],
+    ids=["K3oP3", "P3oP3", "C5oK2", "K2oK4", "C4oP3-unproven"],
 )
 def test_phi_json_pins_node_count_and_bytes(g, h, limit, phi, nodes, digest, tmp_path, capsys):
     # Like the C4oP3 pin: a change in the search's visiting order or bound

@@ -121,10 +121,11 @@ def test_model_matches_pairwise_grouping(name, graph, dedup):
 def test_both_forms_share_one_support_table(name, graph):
     rows = maximal_matching_masks(graph)
     full = build_model(graph, dedup=False)
-    assert full.counts == build_model(graph).counts
+    model = build_model(graph)
+    assert full.supports == model.supports
     groups = brute_ilp_constraints(rows, True)
-    assert list(full.counts) == [rows[i] ^ rows[j] for (i, j), _, _ in groups]
-    assert list(full.counts.values()) == [len(pairs) for _, _, pairs in groups]
+    assert full.supports == [rows[i] ^ rows[j] for (i, j), _, _ in groups]
+    assert [len(c.pairs) for c in model.constraints] == [len(pairs) for _, _, pairs in groups]
     assert full.labels is None
 
 
@@ -136,8 +137,9 @@ def test_pass_keeps_the_pairwise_first_seen_order(g, dedup):
     groups = brute_ilp_constraints(rows, True)
     assert model.supports == [rows[i] ^ rows[j] for (i, j), _, _ in groups]
     assert model.labels == ([label for label, _, _ in groups] if dedup else None)
-    assert list(model.counts.values()) == [len(pairs) for _, _, pairs in groups]
-    assert list(model.counts) == model.supports
+    psi = len(rows)
+    sizes = [len(pairs) for _, _, pairs in groups] if dedup else [1] * (psi * (psi - 1) // 2)
+    assert [len(c.pairs) for c in model.constraints] == sizes
     assert export_lp(model) == reference_lp(g.m, rows, dedup)
 
 
@@ -188,12 +190,8 @@ def test_export_lp_builds_no_constraint_objects(extra, monkeypatch, capsys, tmp_
     def forbidden(model):
         raise AssertionError("export-lp read IlpModel.constraints")
 
-    def uncounted(model):
-        raise AssertionError("export-lp read IlpModel.counts")
-
     monkeypatch.setattr(ilp, "IlpConstraint", Forbidden)
     monkeypatch.setattr(ilp.IlpModel, "constraints", property(forbidden))
-    monkeypatch.setattr(ilp.IlpModel, "counts", property(uncounted))
     source = tmp_path / "C4oK2.txt"
     source.write_text(serialize_edge_list(corona_product(cycle(4), complete(2)).graph))
     assert cli.main(["export-lp", *extra, "--in", str(source)]) == 0
